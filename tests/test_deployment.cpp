@@ -4,6 +4,8 @@
 // and shard/thread invariance of the report.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,18 +24,41 @@ tags::TagPopulation uniform(std::size_t n, std::uint64_t seed) {
   return tags::TagPopulation::uniform_random(n, rng);
 }
 
-/// Byte-stable digest of a deployment report for determinism comparisons.
+/// Byte-stable digest of a deployment report for determinism comparisons:
+/// every counter, the ordered missing / undelivered / record ID lists, the
+/// per-reader delivered counts and the exact bit pattern of the airtime
+/// total (the JSON and stream renderings of a double are rounded).
 std::string deployment_digest(const DeploymentReport& report) {
   std::ostringstream os;
   obs::write_json(os, report.totals);
-  os << '|' << report.delivered << '|' << report.ticks << '|'
-     << report.handoffs << '|' << report.churn_moves << '|'
-     << report.churn_departures << '|' << report.transitions.size();
+  os << '|' << std::bit_cast<std::uint64_t>(report.totals.time_us) << '|'
+     << report.delivered << '|' << report.ticks << '|' << report.handoffs
+     << '|' << report.churn_moves << '|' << report.churn_departures << '|'
+     << report.transitions.size() << '|' << report.verified;
+  os << "|missing";
   for (const TagId& id : report.missing_ids) os << '|' << id.to_hex();
+  os << "|undelivered";
   for (const TagId& id : report.undelivered_ids) os << '|' << id.to_hex();
+  os << "|records";
+  for (const sim::CollectedRecord& record : report.records)
+    os << '|' << record.id.to_hex() << ':' << record.payload.size();
+  os << "|delivered";
+  for (const std::size_t delivered : report.per_reader_delivered)
+    os << '|' << delivered;
   for (const ChannelReport& c : report.per_channel)
-    os << '|' << c.readers << ':' << c.rounds << ':' << c.busy_us;
+    os << '|' << c.readers << ':' << c.rounds << ':'
+       << std::bit_cast<std::uint64_t>(c.busy_us);
   return os.str();
+}
+
+/// 64-bit FNV-1a of a digest, short enough to pin as a golden constant.
+std::uint64_t digest_fold(const std::string& digest) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : digest) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 // --- Channel schedule -------------------------------------------------------
@@ -296,6 +321,118 @@ TEST(Deployment, PooledRunIsByteIdenticalToSerial) {
   const std::string serial = deployment_digest(run_deployment(pop, config));
   parallel::ThreadPool pool(3);
   EXPECT_EQ(deployment_digest(run_deployment(pop, config, &pool)), serial);
+}
+
+// --- Golden runs ------------------------------------------------------------
+//
+// Hard-coded digests of churning, overlapping sweeps under reader crashes,
+// stalls and restarts. The other report tests compare the code against
+// itself; these pin its exact output, so any rework of the churn scan, the
+// handoff ledger or the placement rules must reproduce it bit for bit.
+
+DeploymentConfig golden_config(protocols::ProtocolKind kind,
+                               bool keep_records) {
+  DeploymentConfig config;
+  config.readers = 10;
+  config.channels = 3;
+  config.kind = kind;
+  config.session.seed = 23;
+  config.session.keep_records = keep_records;
+  config.zone_overlap = 0.25;
+  config.churn_move_per_tick = 0.01;
+  config.churn_depart_per_tick = 0.002;
+  config.reader_faults.crash_per_tick = 0.01;
+  config.reader_faults.stall_per_tick = 0.02;
+  config.reader_faults.restart_per_tick = 0.01;
+  return config;
+}
+
+struct Golden final {
+  std::size_t delivered;
+  std::size_t missing;
+  std::size_t undelivered;
+  std::uint64_t ticks;
+  std::uint64_t fold;
+};
+
+void expect_golden(const DeploymentReport& report, const Golden& golden) {
+  EXPECT_TRUE(report.verified);
+  // Every path the golden is meant to pin actually ran.
+  EXPECT_GT(report.churn_moves, 0u);
+  EXPECT_GT(report.churn_departures, 0u);
+  EXPECT_GT(report.totals.reader_crashes, 0u);
+  EXPECT_GT(report.totals.reader_stalls, 0u);
+  EXPECT_GT(report.totals.reader_restarts, 0u);
+  EXPECT_GT(report.handoffs, report.churn_moves);  // fault rehoming too
+  EXPECT_EQ(report.delivered, golden.delivered);
+  EXPECT_EQ(report.missing_ids.size(), golden.missing);
+  EXPECT_EQ(report.undelivered_ids.size(), golden.undelivered);
+  EXPECT_EQ(report.ticks, golden.ticks);
+  const std::uint64_t fold = digest_fold(deployment_digest(report));
+  EXPECT_EQ(fold, golden.fold) << "fold 0x" << std::hex << fold;
+}
+
+TEST(DeploymentGolden, TppWithRecords) {
+  const auto pop = uniform(3000, 61);
+  const auto config = golden_config(protocols::ProtocolKind::kTpp, true);
+  expect_golden(run_deployment(pop, config),
+                {2704, 49, 247, 52, 0x3d3a54545fac469fULL});
+}
+
+TEST(DeploymentGolden, TppRecordFree) {
+  const auto pop = uniform(3000, 61);
+  const auto config = golden_config(protocols::ProtocolKind::kTpp, false);
+  expect_golden(run_deployment(pop, config),
+                {2704, 49, 247, 52, 0x1f80a1e7036832baULL});
+}
+
+TEST(DeploymentGolden, HppWithRecords) {
+  const auto pop = uniform(3000, 62);
+  const auto config = golden_config(protocols::ProtocolKind::kHpp, true);
+  expect_golden(run_deployment(pop, config),
+                {2701, 51, 248, 60, 0xc90329a60156d20eULL});
+}
+
+TEST(DeploymentGolden, HppRecordFree) {
+  const auto pop = uniform(3000, 62);
+  const auto config = golden_config(protocols::ProtocolKind::kHpp, false);
+  expect_golden(run_deployment(pop, config),
+                {2701, 51, 248, 60, 0x97ac4aa1cbbfce67ULL});
+}
+
+TEST(DeploymentGolden, TppOnOneSharedChannel) {
+  // Strict time division stretches the drain over hundreds of ticks, so
+  // every tag waits through many churn events between its reader's turns.
+  const auto pop = uniform(3000, 64);
+  DeploymentConfig config = golden_config(protocols::ProtocolKind::kTpp, false);
+  config.readers = 12;
+  config.channels = 1;
+  config.churn_move_per_tick = 0.002;
+  config.churn_depart_per_tick = 0.0005;
+  config.reader_faults.crash_per_tick = 0.002;
+  config.reader_faults.stall_per_tick = 0.004;
+  config.reader_faults.restart_per_tick = 0.002;
+  expect_golden(run_deployment(pop, config),
+                {2936, 49, 15, 192, 0xb60adc9d064f1473ULL});
+}
+
+TEST(DeploymentGolden, TppUnderBudgetExhaustion) {
+  // Heavy moves against a one-handoff budget: the ledger gives tags up.
+  const auto pop = uniform(3000, 63);
+  DeploymentConfig config = golden_config(protocols::ProtocolKind::kTpp, true);
+  config.churn_move_per_tick = 0.05;
+  config.handoff_budget = 1;
+  const DeploymentReport report = run_deployment(pop, config);
+  EXPECT_FALSE(report.undelivered_ids.empty());
+  expect_golden(report, {2241, 41, 718, 44, 0x48199094d9d0ec97ULL});
+}
+
+TEST(DeploymentGolden, PooledRunMatchesTheGolden) {
+  const auto pop = uniform(3000, 61);
+  const auto config = golden_config(protocols::ProtocolKind::kTpp, true);
+  parallel::ThreadPool pool(3);
+  expect_golden(run_deployment(pop, config, &pool),
+                {2704, 49, 247, 52, 0x3d3a54545fac469fULL});
 }
 
 TEST(Deployment, InvalidConfigsRejected) {
