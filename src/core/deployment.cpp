@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "core/multi_reader.hpp"
 #include "fault/injector.hpp"
+#include "fault/recovery.hpp"
 #include "protocols/hash_polling.hpp"
 #include "protocols/round_engine.hpp"
 #include "protocols/tree_polling.hpp"
@@ -64,11 +65,10 @@ fault::SupervisorConfig scale_supervisor(fault::SupervisorConfig config,
   return config;
 }
 
-fault::RecoveryConfig handoff_ledger(std::uint32_t budget) {
-  fault::RecoveryConfig config;
-  config.enabled = true;
-  config.retry_budget = budget;
-  return config;
+/// A tick as a churn-horizon entry: saturated at UINT32_MAX, so a stored
+/// horizon is never later than the true one.
+std::uint32_t saturated_tick(std::uint64_t tick) noexcept {
+  return static_cast<std::uint32_t>(std::min<std::uint64_t>(tick, UINT32_MAX));
 }
 
 /// Contract checks run here, in the config_ member initializer, so they
@@ -106,59 +106,92 @@ std::size_t scheduled_reader(std::size_t channel, std::size_t readers,
 
 bool tag_reaches_neighbor(const TagId& id, double zone_overlap,
                           std::uint64_t partition_seed) {
-  if (zone_overlap <= 0.0) return false;
-  if (zone_overlap >= 1.0) return true;
-  return hash_unit(tag_hash(derive_seed(partition_seed, kOverlapSalt), id)) <
-         zone_overlap;
+  DeploymentConfig config;
+  config.zone_overlap = zone_overlap;
+  config.partition_seed = partition_seed;
+  return PlacementRules(config).reaches_neighbor(id_words(id));
 }
 
 std::size_t owner_in_zone(const TagId& id, std::size_t zone,
                           const DeploymentConfig& config) {
-  const std::size_t readers = config.readers;
-  RFID_EXPECTS(readers >= 1 && zone < readers);
-  if (readers == 1 ||
-      !tag_reaches_neighbor(id, config.zone_overlap, config.partition_seed))
-    return zone;
-  const std::size_t alt = (zone + 1) % readers;
-  const std::uint64_t zone_key =
-      tag_hash(derive_seed(config.ownership_seed, zone), id);
-  const std::uint64_t alt_key =
-      tag_hash(derive_seed(config.ownership_seed, alt), id);
-  if (alt_key != zone_key) return alt_key < zone_key ? alt : zone;
-  return std::min(zone, alt);
+  RFID_EXPECTS(config.readers >= 1 && zone < config.readers);
+  return PlacementRules(config).owner_in_zone(id_words(id), zone);
 }
 
 ChurnPosition churn_position(const TagId& id, std::size_t home_zone,
                              std::uint64_t tick,
                              const DeploymentConfig& config) {
+  return PlacementRules(config).churn_position(id_words(id), home_zone, tick);
+}
+
+PlacementRules::PlacementRules(const DeploymentConfig& config) noexcept
+    : readers_(config.readers),
+      partition_seed_(config.partition_seed),
+      zone_overlap_(config.zone_overlap),
+      overlap_key_(derive_seed(config.partition_seed, kOverlapSalt)),
+      ownership_seed_(config.ownership_seed),
+      churn_seed_(config.churn_seed),
+      depart_(config.churn_depart_per_tick),
+      hazard_(config.churn_depart_per_tick + config.churn_move_per_tick),
+      log_survive_(std::log1p(-std::min(hazard_, 0.9999999999))),
+      first_wait_key_(derive_seed(config.churn_seed, 0)),
+      first_kind_key_(derive_seed(config.churn_seed, 1)) {}
+
+std::size_t PlacementRules::home(IdWords id) const noexcept {
+  return reader_of_words(id, readers_, partition_seed_);
+}
+
+bool PlacementRules::reaches_neighbor(IdWords id) const noexcept {
+  if (zone_overlap_ <= 0.0) return false;
+  if (zone_overlap_ >= 1.0) return true;
+  return hash_unit(tag_hash_words(overlap_key_, id.hi, id.lo)) < zone_overlap_;
+}
+
+std::size_t PlacementRules::owner_in_zone(IdWords id,
+                                          std::size_t zone) const noexcept {
+  if (readers_ == 1 || !reaches_neighbor(id)) return zone;
+  const std::size_t alt = (zone + 1) % readers_;
+  const std::uint64_t zone_key =
+      tag_hash_words(derive_seed(ownership_seed_, zone), id.hi, id.lo);
+  const std::uint64_t alt_key =
+      tag_hash_words(derive_seed(ownership_seed_, alt), id.hi, id.lo);
+  if (alt_key != zone_key) return alt_key < zone_key ? alt : zone;
+  return std::min(zone, alt);
+}
+
+ChurnPosition PlacementRules::churn_position(
+    IdWords id, std::size_t home_zone, std::uint64_t tick) const noexcept {
   ChurnPosition position;
   position.zone = home_zone;
-  const double hazard =
-      config.churn_depart_per_tick + config.churn_move_per_tick;
-  if (hazard <= 0.0) return position;
+  if (hazard_ <= 0.0) return position;
   // Geometric interarrivals by inverse CDF over pure per-event hash draws:
   // event k's tick depends only on (churn_seed, id, k), never on mutable
   // RNG state, so the walk replays identically from any schedule or shard.
-  const double log_survive = std::log1p(-std::min(hazard, 0.9999999999));
   std::uint64_t at = 0;
   for (std::uint64_t event = 0;; ++event) {
-    const double wait = hash_unit(
-        tag_hash(derive_seed(config.churn_seed, event << 1), id));
-    at += 1 + static_cast<std::uint64_t>(std::log(wait) / log_survive);
-    if (at > tick) return position;
-    const std::uint64_t kind_hash =
-        tag_hash(derive_seed(config.churn_seed, (event << 1) | 1), id);
-    if (hash_unit(kind_hash) * hazard <= config.churn_depart_per_tick) {
+    const std::uint64_t wait_key =
+        event == 0 ? first_wait_key_ : derive_seed(churn_seed_, event << 1);
+    const double wait = hash_unit(tag_hash_words(wait_key, id.hi, id.lo));
+    at += 1 + static_cast<std::uint64_t>(std::log(wait) / log_survive_);
+    if (at > tick) {
+      position.next_event_at = at;
+      return position;
+    }
+    const std::uint64_t kind_key =
+        event == 0 ? first_kind_key_
+                   : derive_seed(churn_seed_, (event << 1) | 1);
+    const std::uint64_t kind_hash = tag_hash_words(kind_key, id.hi, id.lo);
+    if (hash_unit(kind_hash) * hazard_ <= depart_) {
       position.departed = true;
       position.departed_at = at;
       return position;  // departure is absorbing
     }
     ++position.moves;
-    if (config.readers > 1)
-      position.zone = (position.zone + 1 +
-                       static_cast<std::size_t>(
-                           (kind_hash >> 8) % (config.readers - 1))) %
-                      config.readers;
+    if (readers_ > 1) {
+      const std::size_t step =
+          1 + static_cast<std::size_t>((kind_hash >> 8) % (readers_ - 1));
+      position.zone = (position.zone + step) % readers_;
+    }
   }
 }
 
@@ -226,9 +259,9 @@ Deployment::Deployment(const tags::TagPopulation& population,
                                    std::max<std::size_t>(config_.readers, 1),
                                    channels_)),
       protocol_name_(protocols::to_string(config_.kind)),
+      rules_(config_),
       supervisor_(config_.readers,
-                  scale_supervisor(config_.supervisor, rotation_)),
-      handoff_budget_(handoff_ledger(config_.handoff_budget)) {
+                  scale_supervisor(config_.supervisor, rotation_)) {
   runtime_.reserve(config_.readers);
   for (std::size_t r = 0; r < config_.readers; ++r) {
     runtime_.emplace_back(config_.session.recovery);
@@ -251,9 +284,8 @@ Deployment::Deployment(const tags::TagPopulation& population,
   const auto place_range = [this](std::size_t first_reader,
                                   std::size_t last_reader) {
     for (const tags::Tag& tag : *population_) {
-      const std::size_t home =
-          reader_of(tag.id(), config_.readers, config_.partition_seed);
-      const std::size_t owner = owner_in_zone(tag.id(), home, config_);
+      const IdWords id = id_words(tag.id());
+      const std::size_t owner = rules_.owner_in_zone(id, rules_.home(id));
       if (owner >= first_reader && owner < last_reader)
         runtime_[owner].active.push_back(&tag);
     }
@@ -274,6 +306,9 @@ Deployment::Deployment(const tags::TagPopulation& population,
     channels_state_[c].readers =
         channel_population(c, config_.readers, channels_);
   scheduled_.resize(channels_);
+  // Zeroed: every tag's first evaluation stays lazy, in its reader's scan.
+  if (config_.churn_depart_per_tick > 0.0 || config_.churn_move_per_tick > 0.0)
+    horizon_.assign(population_->size(), 0);
 }
 
 Deployment::~Deployment() = default;
@@ -334,38 +369,9 @@ void Deployment::run_reader_parallel(std::size_t reader,
   if (rt.fault_event.has_value()) return;
   if (!rt.scheduled) return;  // another co-channel reader holds the RF slot
 
-  const bool churn = config_.churn_depart_per_tick > 0.0 ||
-                     config_.churn_move_per_tick > 0.0;
-  if (churn && !rt.active.empty()) {
-    // Zone scan at the reader's own transmit slot: departed tags leave the
-    // active set (listed missing at the merge), moved tags queue for
-    // handoff to their new owner. Scan before the round so a tag that
-    // left at tick t is never interrogated at tick >= t.
-    rt.churn_done.assign(rt.active.size(), 0);
-    std::size_t removed = 0;
-    for (std::size_t i = 0; i < rt.active.size(); ++i) {
-      const tags::Tag* tag = rt.active.tag(i);
-      const std::size_t home =
-          reader_of(tag->id(), config_.readers, config_.partition_seed);
-      const ChurnPosition position =
-          churn_position(tag->id(), home, tick_, config_);
-      if (position.departed) {
-        rt.departed.push_back(tag->id());
-        rt.churn_done[i] = 1;
-        ++removed;
-        continue;
-      }
-      const std::size_t owner =
-          owner_in_zone(tag->id(), position.zone, config_);
-      if (owner != reader) {
-        rt.moved.push_back(tag);
-        rt.moved_target.push_back(static_cast<std::uint32_t>(owner));
-        rt.churn_done[i] = 1;
-        ++removed;
-      }
-    }
-    if (removed > 0) rt.active.compact(rt.churn_done);
-  }
+  // Zone scan at the reader's own transmit slot, before the round, so a
+  // tag that left at tick t is never interrogated at tick >= t.
+  if (!horizon_.empty() && !rt.active.empty()) churn_scan(reader, rt);
 
   if (rt.active.empty()) {
     // Zone drained: the reader idles but still answers its heartbeat.
@@ -388,6 +394,66 @@ void Deployment::run_reader_parallel(std::size_t reader,
                        static_cast<std::size_t>(live.undelivered -
                                                 undelivered_before) -
                        static_cast<std::size_t>(live.missing - missing_before);
+}
+
+// Departed tags leave the active set (listed missing at the merge); tags
+// now owned elsewhere queue for handoff to their new owner. Pass 1 only
+// compares each tag's horizon with the tick, with independent loads and no
+// hashing; pass 2 walks the due tags' churn events from their ID words. A
+// tag that stays stores its next event tick as its new horizon.
+void Deployment::churn_scan(std::size_t reader, detail::ReaderRuntime& rt) {
+  const std::size_t n = rt.active.size();
+  rt.churn_done.resize(n);
+  // Locals, not members: the char stores below may alias any member.
+  const std::uint64_t now = tick_;
+  const tags::Tag* const base = population_->tags().data();
+  const std::uint32_t* const horizon = horizon_.data();
+  char* const flags = rt.churn_done.data();
+  std::size_t due = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool flag =
+        now >= horizon[static_cast<std::size_t>(rt.active.tag(i) - base)];
+    flags[i] = static_cast<char>(flag);
+    due += flag ? 1u : 0u;
+  }
+  if (due == 0) return;
+  std::size_t removed = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (flags[i] == 0) continue;
+    const tags::Tag* tag = rt.active.tag(i);
+    const IdWords id{rt.active.id_hi(i), rt.active.id_lo(i)};
+    const ChurnPosition position =
+        rules_.churn_position(id, rules_.home(id), tick_);
+    if (position.departed) {
+      rt.departed.push_back(tag->id());
+      ++removed;
+      continue;
+    }
+    const std::size_t owner = rules_.owner_in_zone(id, position.zone);
+    if (owner != reader) {
+      rt.moved.push_back(tag);
+      rt.moved_target.push_back(static_cast<std::uint32_t>(owner));
+      ++removed;
+      continue;
+    }
+    flags[i] = 0;
+    horizon_[tag_index(tag)] = saturated_tick(position.next_event_at);
+  }
+  if (removed > 0) rt.active.compact(rt.churn_done);
+}
+
+bool Deployment::take_handoff(const tags::Tag* tag) {
+  if (handoffs_used_.empty()) handoffs_used_.assign(population_->size(), 0);
+  std::uint32_t& used = handoffs_used_[tag_index(tag)];
+  if (used >= config_.handoff_budget) return false;
+  ++used;
+  return true;
+}
+
+void Deployment::rehome(std::size_t reader, const tags::Tag* tag) {
+  runtime_[reader].active.push_back(tag);
+  // The receiving reader evaluates the tag afresh at its next scan.
+  if (!horizon_.empty()) horizon_[tag_index(tag)] = 0;
 }
 
 void Deployment::apply_fault_event(std::size_t reader,
@@ -428,13 +494,12 @@ void Deployment::hand_off(std::size_t from) {
   std::size_t rehomed = 0;
   for (std::size_t i = 0; i < rt.active.size(); ++i) {
     const tags::Tag* tag = rt.active.tag(i);
+    const IdWords id{rt.active.id_hi(i), rt.active.id_lo(i)};
     std::size_t target = config_.readers;
-    if (overlap && tag_reaches_neighbor(tag->id(), config_.zone_overlap,
-                                        config_.partition_seed)) {
+    if (overlap && rules_.reaches_neighbor(id)) {
       // Prefer the other reader that can already hear the tag: of the
       // home-zone pair {z, z+1}, whichever is not the downed reader.
-      const std::size_t home =
-          reader_of(tag->id(), config_.readers, config_.partition_seed);
+      const std::size_t home = rules_.home(id);
       const std::size_t next = (home + 1) % config_.readers;
       const std::size_t other = home == from ? next : home;
       if (other != from && !supervisor_.permanently_down(other) &&
@@ -451,8 +516,8 @@ void Deployment::hand_off(std::size_t from) {
         rt.keep_scratch.push_back(tag);
       continue;
     }
-    if (handoff_budget_.take_attempt(tag->id())) {
-      runtime_[target].active.push_back(tag);
+    if (take_handoff(tag)) {
+      rehome(target, tag);
       ++rehomed;
     } else {
       report_.undelivered_ids.push_back(tag->id());
@@ -542,9 +607,8 @@ bool Deployment::tick() {
     }
     for (std::size_t m = 0; m < rt.moved.size(); ++m) {
       const tags::Tag* tag = rt.moved[m];
-      if (handoff_budget_.take_attempt(tag->id())) {
-        // rfidlint: allow(hotpath-alloc) — churn handoff slow path, outside the fault-free zero-alloc contract
-        runtime_[rt.moved_target[m]].active.push_back(tag);
+      if (take_handoff(tag)) {
+        rehome(rt.moved_target[m], tag);
         ++report_.handoffs;
         ++report_.churn_moves;
       } else {

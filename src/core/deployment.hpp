@@ -33,6 +33,10 @@
 //     fleet handoff budget as fault rehoming); a departed tag that was
 //     never read is listed as missing. Churn therefore never breaks the
 //     exact accounting: population = delivered + missing + undelivered.
+//     The same walk yields the tick of the tag's next event, before which
+//     neither its zone nor its owner can change, so a reader re-evaluates
+//     a tag only when that tick has come or the tag has just arrived: the
+//     scan's cost follows churn events, not active tags x ticks.
 //
 //   * Reader faults. The PR-8 supervision machinery (fault::
 //     ReaderSupervisor, per-reader fault streams, bounded handoff budgets)
@@ -60,8 +64,8 @@
 #include <string>
 #include <vector>
 
+#include "core/multi_reader.hpp"
 #include "fault/fault_model.hpp"
-#include "fault/recovery.hpp"
 #include "fault/supervisor.hpp"
 #include "obs/health.hpp"
 #include "parallel/thread_pool.hpp"
@@ -177,11 +181,51 @@ struct ChurnPosition final {
   bool departed = false;
   std::uint64_t departed_at = 0;
   std::uint32_t moves = 0;  ///< move events that fired up to `tick`
+  /// The tick of the next hazard event: on [tick, next_event_at) the
+  /// position (and so the tag's owner) cannot change. UINT64_MAX when no
+  /// event is left — zero hazards, or the tag has departed.
+  std::uint64_t next_event_at = UINT64_MAX;
 };
 [[nodiscard]] ChurnPosition churn_position(const TagId& id,
                                            std::size_t home_zone,
                                            std::uint64_t tick,
                                            const DeploymentConfig& config);
+
+/// The placement and churn rules above over a tag's ID words (see
+/// core::id_words and tags::TagSoA), with every per-config constant derived
+/// once: the overlap key, the event-0 churn keys and the hazard's
+/// log-survival. reader_of, tag_reaches_neighbor, owner_in_zone and
+/// churn_position are thin wrappers over these forms, the way tag_hash
+/// wraps tag_hash_words; core::Deployment keeps one instance per sweep, so
+/// its churn scan never re-derives a key or dereferences a Tag.
+class PlacementRules final {
+ public:
+  explicit PlacementRules(const DeploymentConfig& config) noexcept;
+
+  /// The home zone (reader_of).
+  [[nodiscard]] std::size_t home(IdWords id) const noexcept;
+  [[nodiscard]] bool reaches_neighbor(IdWords id) const noexcept;
+  /// Requires zone < readers.
+  [[nodiscard]] std::size_t owner_in_zone(IdWords id,
+                                          std::size_t zone) const noexcept;
+  [[nodiscard]] ChurnPosition churn_position(IdWords id, std::size_t home_zone,
+                                             std::uint64_t tick) const noexcept;
+
+ private:
+  std::size_t readers_;
+  std::uint64_t partition_seed_;
+  double zone_overlap_;
+  std::uint64_t overlap_key_;
+  std::uint64_t ownership_seed_;
+  std::uint64_t churn_seed_;
+  double depart_;
+  /// Departure plus move hazard, and log1p(-hazard) clamped below 1.
+  double hazard_;
+  double log_survive_;
+  /// Event 0's interarrival and depart-or-move keys.
+  std::uint64_t first_wait_key_;
+  std::uint64_t first_kind_key_;
+};
 
 // --- The simulator ----------------------------------------------------------
 
@@ -233,6 +277,14 @@ class Deployment final {
   void fold_session(std::size_t reader, detail::ReaderRuntime& rt);
   void build_session(std::size_t reader, detail::ReaderRuntime& rt);
   void run_reader_parallel(std::size_t reader, detail::ReaderRuntime& rt);
+  void churn_scan(std::size_t reader, detail::ReaderRuntime& rt);
+  /// Consumes one unit of the tag's fleet handoff budget; false once spent.
+  [[nodiscard]] bool take_handoff(const tags::Tag* tag);
+  /// Pushes a handed-off tag into `reader`'s active set.
+  void rehome(std::size_t reader, const tags::Tag* tag);
+  [[nodiscard]] std::size_t tag_index(const tags::Tag* tag) const noexcept {
+    return static_cast<std::size_t>(tag - population_->tags().data());
+  }
 
   const tags::TagPopulation* population_;
   DeploymentConfig config_;
@@ -241,9 +293,17 @@ class Deployment final {
   std::size_t shards_;
   std::uint64_t rotation_;  ///< max readers per channel (deadline scale)
   std::string protocol_name_;
+  PlacementRules rules_;
   std::vector<detail::ReaderRuntime> runtime_;
   fault::ReaderSupervisor supervisor_;
-  fault::RecoveryCoordinator handoff_budget_;
+  /// Churn horizon per population tag (tag_index): the first tick its
+  /// position can change, saturated at UINT32_MAX so a stored value never
+  /// exceeds the true one; 0 = evaluate at the next scan. Allocated only
+  /// when churn is on; reset to 0 whenever the tag arrives at a reader.
+  std::vector<std::uint32_t> horizon_;
+  /// Handoffs consumed per population tag (tag_index); allocated on the
+  /// first handoff.
+  std::vector<std::uint32_t> handoffs_used_;
   std::vector<ChannelReport> channels_state_;
   std::vector<std::size_t> scheduled_;  ///< per-channel reader, per tick
   std::vector<std::size_t> shard_begin_;  ///< shard -> first reader

@@ -14,7 +14,7 @@ namespace rfid::core {
 std::size_t reader_of(const TagId& id, std::size_t readers,
                       std::uint64_t partition_seed) {
   RFID_EXPECTS(readers >= 1);
-  return static_cast<std::size_t>(tag_hash(partition_seed, id) % readers);
+  return reader_of_words(id_words(id), readers, partition_seed);
 }
 
 MultiReaderReport run_multi_reader(const tags::TagPopulation& population,

@@ -16,9 +16,9 @@
 // round per reader per tick) under a fault::ReaderSupervisor, so readers
 // can crash, stall and restart mid-sweep. A downed reader's still-unread
 // tags are handed off to the next alive reader in ring order, each handoff
-// gated by a fleet-level RecoveryCoordinator budget; tags whose budget runs
-// out are reported undelivered — the fleet delivers or lists every tag,
-// never loses one silently. All fault draws come from per-reader dedicated
+// gated by a fleet-level per-tag budget; tags whose budget runs out are
+// reported undelivered — the fleet delivers or lists every tag, never
+// loses one silently. All fault draws come from per-reader dedicated
 // streams (fault::FaultInjector::sample_reader_fault), so a fleet with
 // faults disabled is byte-identical to one built without the fault layer.
 #pragma once
@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "fault/fault_model.hpp"
 #include "fault/supervisor.hpp"
 #include "obs/health.hpp"
@@ -62,6 +63,25 @@ struct MultiReaderReport final {
 [[nodiscard]] std::size_t reader_of(const TagId& id, std::size_t readers,
                                     std::uint64_t partition_seed);
 
+/// A TagId split into the (hi, lo) words tags::TagSoA stores and
+/// tag_hash_words consumes.
+struct IdWords final {
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+};
+[[nodiscard]] constexpr IdWords id_words(const TagId& id) noexcept {
+  return {(static_cast<std::uint64_t>(id.words[0]) << 32) | id.words[1],
+          static_cast<std::uint64_t>(id.words[2])};
+}
+
+/// reader_of over the ID words (readers >= 1); reader_of wraps it, the way
+/// tag_hash wraps tag_hash_words.
+[[nodiscard]] constexpr std::size_t reader_of_words(
+    IdWords id, std::size_t readers, std::uint64_t partition_seed) noexcept {
+  const std::uint64_t hash = tag_hash_words(partition_seed, id.hi, id.lo);
+  return static_cast<std::size_t>(hash % readers);
+}
+
 // --- Fault-tolerant fleet schedule ------------------------------------------
 
 /// Configuration of one supervised fleet sweep. Reader faults and the
@@ -78,8 +98,7 @@ struct FleetConfig final {
   fault::ReaderFaultConfig reader_faults{};
   fault::SupervisorConfig supervisor{};
   /// Times one tag may be rehomed away from a downed reader before the
-  /// fleet gives it up as undelivered (a fleet-level RecoveryCoordinator
-  /// budget, same machinery as per-session retry budgets).
+  /// fleet gives it up as undelivered (a fleet-level per-tag budget).
   std::uint32_t handoff_budget = 4;
   /// Scheduling-tick cap: the sweep abandons (loudly — every remaining tag
   /// is listed undelivered) rather than run forever against a fault plan

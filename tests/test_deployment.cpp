@@ -196,6 +196,55 @@ TEST(Churn, ZeroHazardsMeanNobodyEverMoves) {
   }
 }
 
+TEST(Churn, ZeroHazardsScheduleNoEvent) {
+  const auto pop = uniform(50, 52);
+  DeploymentConfig config;
+  config.readers = 4;
+  for (const tags::Tag& tag : pop)
+    for (const std::uint64_t tick : {0u, 1u, 1u << 16})
+      EXPECT_EQ(churn_position(tag.id(), 1, tick, config).next_event_at,
+                UINT64_MAX);
+}
+
+TEST(Churn, PositionHoldsUntilNextEventAt) {
+  // The horizon contract the deployment's churn scan skips on: the
+  // position is constant on [t, next_event_at) and differs at
+  // next_event_at (one more move to another zone, or the departure).
+  const auto pop = uniform(120, 53);
+  DeploymentConfig config;
+  config.readers = 6;
+  config.churn_move_per_tick = 0.03;
+  config.churn_depart_per_tick = 0.005;
+  std::size_t spans = 0;
+  for (const tags::Tag& tag : pop) {
+    for (const std::uint64_t t : {0u, 1u, 17u, 60u, 200u}) {
+      const ChurnPosition at_t = churn_position(tag.id(), 4, t, config);
+      if (at_t.departed) {  // absorbing: no event is left
+        EXPECT_EQ(at_t.next_event_at, UINT64_MAX);
+        continue;
+      }
+      ASSERT_GT(at_t.next_event_at, t);
+      for (std::uint64_t u = t + 1; u < at_t.next_event_at; ++u) {
+        const ChurnPosition at_u = churn_position(tag.id(), 4, u, config);
+        EXPECT_EQ(at_u.zone, at_t.zone);
+        EXPECT_EQ(at_u.moves, at_t.moves);
+        EXPECT_FALSE(at_u.departed);
+        EXPECT_EQ(at_u.next_event_at, at_t.next_event_at);
+      }
+      const ChurnPosition next =
+          churn_position(tag.id(), 4, at_t.next_event_at, config);
+      if (next.departed) {
+        EXPECT_EQ(next.departed_at, at_t.next_event_at);
+      } else {
+        EXPECT_EQ(next.moves, at_t.moves + 1);
+        EXPECT_NE(next.zone, at_t.zone);
+      }
+      ++spans;
+    }
+  }
+  EXPECT_GT(spans, 300u);  // most sampled ticks precede the departure
+}
+
 // --- End-to-end accounting --------------------------------------------------
 
 TEST(Deployment, ChurningOverlappingSweepAccountsExactly) {
@@ -287,6 +336,32 @@ TEST(Deployment, FaultsUnderChannelContentionStayExact) {
             900u);
   EXPECT_GT(report.totals.reader_crashes + report.totals.reader_stalls, 0u);
   EXPECT_FALSE(report.transitions.empty());
+}
+
+TEST(Deployment, ChurnAloneExhaustsTheHandoffBudget) {
+  // No reader faults, so every handoff is a churn move and only the fleet
+  // handoff ledger can give a tag up.
+  const auto pop = uniform(2000, 54);
+  DeploymentConfig config;
+  config.readers = 8;
+  config.channels = 2;
+  config.session.seed = 29;
+  config.session.keep_records = true;
+  config.zone_overlap = 0.2;
+  config.churn_move_per_tick = 0.05;
+  config.handoff_budget = 1;
+  const DeploymentReport report = run_deployment(pop, config);
+  EXPECT_TRUE(report.verified);
+  EXPECT_FALSE(report.undelivered_ids.empty());
+  EXPECT_EQ(report.handoffs, report.churn_moves);
+  EXPECT_LE(report.handoffs, pop.size());  // at most one per tag
+
+  // The same sweep with budget to spare gives nobody up.
+  config.handoff_budget = 1000;
+  const DeploymentReport roomy = run_deployment(pop, config);
+  EXPECT_TRUE(roomy.verified);
+  EXPECT_TRUE(roomy.undelivered_ids.empty());
+  EXPECT_GT(roomy.handoffs, report.handoffs);
 }
 
 // --- Shard and thread invariance --------------------------------------------
