@@ -246,14 +246,15 @@ void HttpServer::stop() {
     return;
   }
 
+  // shutdown() unblocks the acceptor's accept(); close() alone does not
+  // reliably do that on Linux. The descriptor is closed and reset only
+  // after the join: the acceptor reads listen_fd_ until it exits.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    // shutdown() unblocks the acceptor's accept(); close() alone does not
-    // reliably do that on Linux.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
 
   std::vector<std::unique_ptr<Connection>> to_join;
   {
