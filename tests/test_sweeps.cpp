@@ -2,6 +2,8 @@
 // deployment might actually pick — plus a state-machine conformance replay.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/polling.hpp"
 #include "protocols/enhanced_hash_polling.hpp"
 #include "protocols/mic.hpp"
@@ -55,15 +57,21 @@ INSTANTIATE_TEST_SUITE_P(Moduli, EhppModulusSweep,
 
 // --- Payload-length grid across the fast protocols ---------------------------
 
+// gtest prints a parameter that has no operator<< as its raw bytes, and the
+// ctest name of each case carries that print. `pad` fills the alignment gap
+// after `kind` with zeros, so no case name shows uninitialised memory.
 struct PayloadCase final {
   core::ProtocolKind kind;
+  std::uint32_t pad = 0;
   std::size_t bits;
 };
+static_assert(std::has_unique_object_representations_v<PayloadCase>);
 
 class PayloadSweep : public ::testing::TestWithParam<PayloadCase> {};
 
 TEST_P(PayloadSweep, VerifiedForEveryPayloadLength) {
-  const auto [kind, bits] = GetParam();
+  const core::ProtocolKind kind = GetParam().kind;
+  const std::size_t bits = GetParam().bits;
   Xoshiro256ss rng(15);
   const auto pop = tags::TagPopulation::uniform_random(400, rng)
                        .with_random_payloads(bits, rng);
@@ -81,7 +89,7 @@ std::vector<PayloadCase> payload_cases() {
   for (const auto kind : {core::ProtocolKind::kHpp, core::ProtocolKind::kTpp,
                           core::ProtocolKind::kMic})
     for (const std::size_t bits : {1u, 8u, 16u, 32u, 64u, 128u})
-      cases.push_back(PayloadCase{kind, bits});
+      cases.push_back(PayloadCase{.kind = kind, .bits = bits});
   return cases;
 }
 
