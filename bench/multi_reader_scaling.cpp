@@ -3,8 +3,8 @@
 // exists).
 //
 // Two phases share one CSV (schema column `mode` tells them apart):
-//   * mode=schedule — the original makespan-vs-portals table under the
-//     two degenerate schedules (TDMA / fully spatial), simulated time.
+//   * mode=schedule — makespan vs portals at the two ends of the channel
+//     schedule (C = 1: TDMA; C = R: fully spatial), simulated time.
 //   * mode=fleet    — wall-clock throughput of the sharded deployment
 //     simulator at (readers, channels, n) points up to a million tags,
 //     reported as tags/sec. scripts/check_bench_regression.sh gates these
@@ -21,7 +21,6 @@
 
 #include "bench_util.hpp"
 #include "core/deployment.hpp"
-#include "core/multi_reader.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {
@@ -55,13 +54,14 @@ int main() {
                       "covered once"});
   double baseline = 0.0;
   for (const std::size_t readers : {1u, 2u, 4u, 8u}) {
-    core::MultiReaderConfig config;
+    core::DeploymentConfig config;
     config.readers = readers;
     config.session.seed = 99;
-    config.schedule = core::ReaderSchedule::kTimeDivision;
-    const auto tdma = core::run_multi_reader(inventory, config);
-    config.schedule = core::ReaderSchedule::kSpatialParallel;
-    const auto par = core::run_multi_reader(inventory, config);
+    config.session.keep_records = false;
+    config.channels = 1;
+    const auto tdma = core::run_deployment(inventory, config);
+    config.channels = readers;
+    const auto par = core::run_deployment(inventory, config);
     if (readers == 1) baseline = par.makespan_s;
     table.add_row({std::to_string(readers),
                    TablePrinter::num(tdma.makespan_s),

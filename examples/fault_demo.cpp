@@ -13,7 +13,8 @@
 // on every reader broadcast, survived by CRC-framed segmented broadcast
 // with bounded retransmission.
 //
-// Act 5 moves up a layer: a supervised 4-reader fleet sweeps the same
+// Act 5 moves up a layer: a supervised 4-reader fleet (core::Deployment,
+// one channel per reader, disjoint zones, no churn) sweeps the same
 // population with reader-level faults armed (crashes, stalls). Downed
 // readers hand their unread tags to the next alive reader in ring order
 // under a bounded handoff budget; the supervisor restarts them with
@@ -31,7 +32,7 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "core/multi_reader.hpp"
+#include "core/deployment.hpp"
 #include "obs/phase_timer.hpp"
 #include "protocols/registry.hpp"
 #include "sim/verify.hpp"
@@ -165,27 +166,29 @@ int main(int argc, char** argv) {
   // reader-fault process crashes and stalls them mid-sweep. Handoffs rehome
   // a downed reader's unread tags; the supervisor's backoff restarts bring
   // the reader back for later ticks.
-  core::FleetConfig fleet_config;
+  core::DeploymentConfig fleet_config;
   fleet_config.readers = 4;
+  fleet_config.channels = 4;  // every reader transmits every tick
   fleet_config.session.seed = seed;
   fleet_config.reader_faults.crash_per_tick = 0.02;
   fleet_config.reader_faults.stall_per_tick = 0.05;
   fleet_config.supervisor.backoff_initial_ticks = 2;
-  const core::FleetReport fleet = core::run_fleet(population, fleet_config);
+  const core::DeploymentReport fleet =
+      core::run_deployment(population, fleet_config);
 
   TablePrinter fleet_table({"reader", "collected", "incarnations", "crashes",
                             "stalls", "restarts", "final health"});
   fleet_table.set_title("Act 5 — supervised 4-reader fleet under crash/stall "
                         "faults");
-  for (std::size_t r = 0; r < fleet.per_reader.size(); ++r) {
-    const core::FleetReaderReport& reader = fleet.per_reader[r];
-    fleet_table.add_row({"R" + std::to_string(r),
-                         std::to_string(reader.collected),
-                         std::to_string(reader.incarnations),
-                         std::to_string(reader.crashes),
-                         std::to_string(reader.stalls),
-                         std::to_string(reader.restarts),
-                         std::string(obs::to_string(reader.final_health))});
+  for (std::size_t r = 0; r < fleet_config.readers; ++r) {
+    const sim::Metrics& metrics = fleet.per_reader_metrics[r];
+    fleet_table.add_row(
+        {"R" + std::to_string(r), std::to_string(fleet.per_reader_delivered[r]),
+         std::to_string(fleet.per_reader_incarnations[r]),
+         std::to_string(metrics.reader_crashes),
+         std::to_string(metrics.reader_stalls),
+         std::to_string(metrics.reader_restarts),
+         std::string(obs::to_string(fleet.per_reader_health[r]))});
   }
   std::cout << '\n';
   fleet_table.print(std::cout);

@@ -3,7 +3,7 @@
 # under random seeds — its act-5 fleet sweeps crash/stall/restart readers
 # and self-verifies exact delivered-or-listed accounting — and (b)
 # simserved checkpoint kill/resume cycles under random fleet shapes and
-# crash cadences, comparing the resumed run's final metrics byte-for-byte
+# crash rates, comparing the resumed run's final metrics byte-for-byte
 # against an uninterrupted reference. Intended for an ASan+UBSan build so
 # memory bugs in the supervisor/handoff/checkpoint machinery surface too.
 # Every iteration logs its parameters up front — to replay a failure,
@@ -67,7 +67,7 @@ run_demo() {
 }
 
 # Arm (b): a simserved checkpoint kill/resume cycle. Random fleet shape,
-# crash cadence, and checkpoint stride; SIGKILL lands mid-run, the daemon
+# crash rate, and checkpoint stride; SIGKILL lands mid-run, the daemon
 # restarts from whatever the last epoch-boundary rename left on disk, and
 # the resumed final metrics must match an uninterrupted reference byte
 # for byte.
@@ -78,10 +78,11 @@ run_daemon_cycle() {
   next 4000; local tags=$((32 * (1 + draw / 1000)))
   next 100000; local seed=$((1 + draw))
   next 5; local epochs=$((4 + draw))
-  next 3; local crash=$((draw == 0 ? 0 : draw + 1))  # 0 (off), 2, or 3
+  local rates=(0 0.01 0.03)
+  next 3; local crash=${rates[$draw]}
   next 2000; local every=$((1 + draw / 1000))
   local base="$simserved --readers $readers --tags $tags --seed $seed \
---epochs $epochs --port 0 --crash-epochs $crash --checkpoint-every $every"
+--epochs $epochs --port 0 --crash-rate $crash --checkpoint-every $every"
   echo "chaos_fleet[$iter]: $base  (kill/resume cycle)"
 
   local ck="$workdir/ck" ref="$workdir/ref.json" resumed="$workdir/resumed.json"

@@ -5,8 +5,8 @@
 # restart it with the same flags, and require the resumed run's final
 # metrics to be BYTE-identical to an uninterrupted run at the same epoch
 # target. Runs twice: once fault-free, once with injected reader crashes
-# (--crash-epochs), which additionally proves crash replay never perturbs
-# the completed folds.
+# (--crash-rate), whose final metrics must then differ from the clean
+# run's and report nonzero reader_crashes — proof the crashes fired.
 #
 #   scripts/check_checkpoint_resume.sh [BIN_DIR]
 #
@@ -36,7 +36,7 @@ run_case() {
     resumed="$workdir/resumed-$tag.json"
   mkdir -p "$ck" "$workdir/ck-$tag-ref"
 
-  # Reference: uninterrupted run to the per-reader epoch target.
+  # Reference: uninterrupted run to the epoch target.
   "$simserved" --readers $readers --tags $tags --seed $seed \
     --epochs $epochs --throttle-us 0 --port 0 "${crash_flags[@]}" \
     --checkpoint-dir "$workdir/ck-$tag-ref" --final-metrics "$ref" \
@@ -81,14 +81,18 @@ run_case() {
 }
 
 run_case clean ""
-run_case crashy "--crash-epochs 2"
+run_case crashy "--crash-rate 0.03"
 
-# Cross-check the two cases: injected reader crashes replay epochs but must
-# not change what the completed folds contain.
-if ! cmp -s "$workdir/ref-clean.json" "$workdir/ref-crashy.json"; then
-  echo "check_checkpoint_resume: crash injection perturbed the completed" \
-    "folds (clean vs crashy final metrics differ)" >&2
-  diff "$workdir/ref-clean.json" "$workdir/ref-crashy.json" >&2 || true
+# Cross-check the two cases: reader crashes are part of each epoch, so the
+# crashy folds must differ from the clean ones and count the crashes.
+if cmp -s "$workdir/ref-clean.json" "$workdir/ref-crashy.json"; then
+  echo "check_checkpoint_resume: --crash-rate changed nothing (clean and" \
+    "crashy final metrics are identical)" >&2
+  exit 1
+fi
+if ! grep -q '"reader_crashes":[1-9]' "$workdir/ref-crashy.json"; then
+  echo "check_checkpoint_resume: crashy final metrics report no" \
+    "reader_crashes" >&2
   exit 1
 fi
 

@@ -26,9 +26,8 @@ namespace {
 /// Salt under partition_seed for the per-tag overlap draw, so reachability
 /// and zone assignment come from independent streams of the same knob.
 constexpr std::uint64_t kOverlapSalt = 0x4F564C50;  // "OVLP"
-/// Salt under the session seed for the per-reader fault streams — the
-/// exact derivation the legacy fleet used, so a FleetConfig ported to the
-/// deployment layer replays the same fault draws.
+/// Salt under the session seed for the per-reader fault streams, keeping
+/// them independent of every reader's protocol stream.
 constexpr std::uint64_t kReaderFaultSalt = 0x52465446;  // "RFTF"
 
 /// Maps a 64-bit hash to (0, 1] — never 0, so log(u) is always finite.
@@ -53,7 +52,7 @@ std::unique_ptr<protocols::RoundPolicy> make_deployment_policy(
 }
 
 /// A reader that only holds the channel every `rotation` ticks completes
-/// rounds `rotation`× slower than the legacy everyone-every-tick fleet; the
+/// rounds `rotation`× slower than one that transmits every tick (C = R); the
 /// supervisor's silence deadlines and restart backoffs stretch by the same
 /// factor so schedule-obedient readers are never declared dead.
 fault::SupervisorConfig scale_supervisor(fault::SupervisorConfig config,
@@ -480,7 +479,7 @@ void Deployment::hand_off(std::size_t from) {
   detail::ReaderRuntime& rt = runtime_[from];
   if (rt.active.empty()) return;
   // Ring fallback target, computed once: the next reader in ring order
-  // that can still make progress (the legacy fleet rule).
+  // that can still make progress.
   std::size_t ring = config_.readers;  // sentinel: none
   for (std::size_t step = 1; step < config_.readers; ++step) {
     const std::size_t candidate = (from + step) % config_.readers;

@@ -3,15 +3,14 @@
 //
 // The paper (Section II-A) assumes "the collision-free transmission
 // schedule among the readers is established" and says nothing about how.
-// core/multi_reader.hpp models the two degenerate schedules (one shared
-// channel = pure time division; fully RF-isolated zones = full spatial
-// parallelism); this layer generalizes both into the schedule real sites
-// run: R readers share C frequency channels, readers on the same channel
-// take turns (time division within the channel) while readers on different
-// channels interrogate concurrently (spatial parallelism across channels).
-// C = 1 reproduces kTimeDivision, C = R reproduces kSpatialParallel, and
-// everything in between is a dense-reader site — the case the two-value
-// ReaderSchedule enum could not express.
+// This layer is that schedule, the one real sites run: R readers share C
+// frequency channels, readers on the same channel take turns (time
+// division within the channel) while readers on different channels
+// interrogate concurrently (spatial parallelism across channels). C = 1 is
+// pure time division (one shared channel), C = R is full spatial
+// parallelism (RF-isolated zones), and everything in between is a
+// dense-reader site. The zone partition itself is core::reader_of
+// (core/multi_reader.hpp).
 //
 // Three deployment realities ride on top of the schedule:
 //
@@ -53,10 +52,10 @@
 // cross-reader mutation is serial and reader-ordered, so a run is
 // byte-identical serial vs RFID_THREADS=N and invariant to the shard
 // count; the fault-free serial tick path performs zero steady-state heap
-// allocations (gated by tests/test_alloc_guard.cpp). run_fleet is a thin
-// legacy wrapper over this layer (channels = readers, no overlap, no
-// churn). See docs/fleet.md and docs/architecture.md ("Deployment
-// simulator").
+// allocations (gated by tests/test_alloc_guard.cpp). A long-running
+// daemon strings drains into epochs with core::DeploymentEpochs
+// (core/epochs.hpp). See docs/fleet.md and docs/architecture.md
+// ("Deployment simulator").
 #pragma once
 
 #include <cstddef>

@@ -97,7 +97,7 @@ struct FaultConfig final {
   }
 };
 
-/// Reader-level fault taxonomy for fleet runs (core/multi_reader.hpp).
+/// Reader-level fault taxonomy for fleet runs (core/deployment.hpp).
 /// These faults hit the *reader*, not the channel: the link models above
 /// garble individual replies, these take a whole interrogator out.
 enum class ReaderFaultKind : std::uint8_t {

@@ -63,7 +63,7 @@ class FaultInjector final {
   /// Current Gilbert–Elliott state (tests/diagnostics).
   [[nodiscard]] bool in_bad_state() const noexcept { return bad_state_; }
 
-  // --- Reader-level faults (fleet runs; see core/multi_reader.hpp) ----------
+  // --- Reader-level faults (fleet runs; see core/deployment.hpp) -----------
 
   /// Arms the reader-fault process for one reader, seeding its dedicated
   /// stream with `seed` (callers derive it per reader so fleet schedules are

@@ -19,7 +19,7 @@
 //   * records every health transition in a drainable log so the obs layer
 //     can synthesize events without the supervisor depending on obs sinks;
 //   * does NOT move tags: handoff of a downed reader's undelivered tags is
-//     the fleet engine's job (core/multi_reader.hpp), budget-gated by the
+//     the fleet engine's job (core/deployment.hpp), budget-gated by the
 //     shared RecoveryCoordinator.
 //
 // Hot-path contract: with no faults firing, note_round_complete + advance
