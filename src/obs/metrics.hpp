@@ -17,8 +17,8 @@
 //
 // The struct lives in the obs layer (it is pure accounting over the phase
 // taxonomy) so both the simulation stack above and the streaming telemetry
-// path (obs/stream.hpp) can fold it; sim/metrics.hpp re-exports it as
-// sim::Metrics for the rest of the simulator.
+// path (obs/stream.hpp) can fold it; sim/session_types.hpp re-exports it
+// as sim::Metrics for the rest of the simulator.
 #pragma once
 
 #include <cstdint>

@@ -45,7 +45,7 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-void put_metrics(std::vector<std::uint8_t>& out, const Metrics& m) {
+void put_metrics(std::vector<std::uint8_t>& out, const obs::Metrics& m) {
   put_u64(out, m.polls);
   put_u64(out, m.missing);
   put_u64(out, m.corrupted);
@@ -127,8 +127,8 @@ class Cursor final {
   std::size_t pos_ = 0;
 };
 
-Metrics read_metrics(Cursor& in) {
-  Metrics m;
+obs::Metrics read_metrics(Cursor& in) {
+  obs::Metrics m;
   m.polls = in.u64();
   m.missing = in.u64();
   m.corrupted = in.u64();

@@ -2,12 +2,12 @@
 //
 // The telemetry daemon (tools/simserved) runs inventory epochs for hours; a
 // SIGKILL should not cost the accumulated run. A Checkpoint captures, at an
-// epoch boundary, everything the warehouse loop needs to continue
-// bit-identically:
+// epoch boundary, everything the epoch loop (core/epochs.hpp) needs to
+// continue bit-identically:
 //
 //   * per-reader progress: completed-epoch count, the bit-exact folded
 //     Metrics of those epochs, incident counters, and health — the folds
-//     are a pure function of (seed, reader, epoch), which is the invariant
+//     are a pure function of (seed, epoch count), which is the invariant
 //     that makes "kill, resume, compare" byte-identical (epochs in flight
 //     at the kill are simply replayed from their epoch boundary);
 //   * every named RNG stream the loop owns, as raw xoshiro state words,
@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "obs/health.hpp"
-#include "sim/metrics.hpp"
+#include "obs/metrics.hpp"
 
 namespace rfid::sim {
 
@@ -45,10 +45,10 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 /// One reader's durable state at an epoch boundary.
 struct ReaderCheckpoint final {
   std::uint64_t epochs = 0;    ///< completed inventory epochs
-  std::uint64_t crashes = 0;   ///< incident counters (reporting continuity;
-  std::uint64_t restarts = 0;  ///<  never part of the folded metrics)
+  std::uint64_t crashes = 0;   ///< incident counters (reporting only; the
+  std::uint64_t restarts = 0;  ///<  fold's reader_crashes/reader_restarts)
   obs::ReaderHealth health = obs::ReaderHealth::kHealthy;
-  Metrics completed{};  ///< bit-exact fold of the completed epochs
+  obs::Metrics completed{};  ///< bit-exact fold of the completed epochs
 };
 
 /// Raw state of one named RNG stream (Xoshiro256ss::state()).

@@ -15,13 +15,18 @@
 #include "common/bitvec.hpp"
 #include "common/tag_id.hpp"
 #include "fault/fault_model.hpp"
+#include "obs/metrics.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/trace.hpp"
 #include "phy/c1g2.hpp"
 #include "phy/framing.hpp"
-#include "sim/metrics.hpp"
 
 namespace rfid::sim {
+
+/// The Metrics struct lives in the obs layer so the streaming telemetry
+/// path can fold it without an upward dependency on sim; sim::Metrics and
+/// obs::Metrics are one type, not a copy.
+using Metrics = obs::Metrics;
 
 /// Adaptive protocol-degradation policy (the TPP -> EHPP -> HPP ladder of
 /// analysis/degradation.hpp). Evaluated by protocols that opt in (ADAPT)
