@@ -154,7 +154,7 @@ PollingTier select_tier(PollingTier current, std::size_t n,
   PollingTier best = current;
   double best_cost = current_cost;
   // Downgrade-only: consider tiers strictly below `current` on the ladder.
-  for (auto t = static_cast<std::uint8_t>(current) + 1;
+  for (std::size_t t = static_cast<std::size_t>(current) + 1;
        t < kPollingTierCount; ++t) {
     const auto tier = static_cast<PollingTier>(t);
     const double cost = tier_cost_per_tag(tier, n, channel);
