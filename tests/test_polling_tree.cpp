@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -218,15 +219,25 @@ TEST(DecodeSegmentStream, EveryFlipCorruptsItsOwnSegment) {
 // ---------------------------------------------------------------------------
 // Property tests: randomized index sets, swept over (h, density).
 
+// `pad` zeroes the alignment gap after `h`: gtest prints the raw bytes of
+// the parameter into each ctest name (see ProjectionCase).
 struct TreeCase final {
   unsigned h;
+  std::uint32_t pad = 0;
   double density;  ///< fraction of the 2^h index space used
 };
+static_assert(sizeof(TreeCase) ==
+              sizeof(unsigned) + sizeof(std::uint32_t) + sizeof(double));
+
+TreeCase tree_case(unsigned h, double density) {
+  return TreeCase{.h = h, .density = density};
+}
 
 class PollingTreeProperty : public ::testing::TestWithParam<TreeCase> {};
 
 TEST_P(PollingTreeProperty, TrieAndSortedEncodingsAgree) {
-  const auto [h, density] = GetParam();
+  const unsigned h = GetParam().h;
+  const double density = GetParam().density;
   Xoshiro256ss rng(1000 + h);
   for (int trial = 0; trial < 20; ++trial) {
     const auto indices = random_indices(h, density, rng);
@@ -243,7 +254,8 @@ TEST_P(PollingTreeProperty, TrieAndSortedEncodingsAgree) {
 }
 
 TEST_P(PollingTreeProperty, TotalBitsEqualNodeCount) {
-  const auto [h, density] = GetParam();
+  const unsigned h = GetParam().h;
+  const double density = GetParam().density;
   Xoshiro256ss rng(2000 + h);
   for (int trial = 0; trial < 20; ++trial) {
     const auto indices = random_indices(h, density, rng);
@@ -255,7 +267,8 @@ TEST_P(PollingTreeProperty, TotalBitsEqualNodeCount) {
 }
 
 TEST_P(PollingTreeProperty, NodeCountWithinEquationSevenBound) {
-  const auto [h, density] = GetParam();
+  const unsigned h = GetParam().h;
+  const double density = GetParam().density;
   Xoshiro256ss rng(3000 + h);
   for (int trial = 0; trial < 20; ++trial) {
     const auto indices = random_indices(h, density, rng);
@@ -271,7 +284,8 @@ TEST_P(PollingTreeProperty, NodeCountWithinEquationSevenBound) {
 TEST_P(PollingTreeProperty, SegmentsReconstructIndices) {
   // Replaying the register-update rule over the segments must reproduce
   // exactly the sorted index set — this is the tag-side decoding contract.
-  const auto [h, density] = GetParam();
+  const unsigned h = GetParam().h;
+  const double density = GetParam().density;
   Xoshiro256ss rng(4000 + h);
   for (int trial = 0; trial < 20; ++trial) {
     auto indices = random_indices(h, density, rng);
@@ -292,10 +306,11 @@ TEST_P(PollingTreeProperty, SegmentsReconstructIndices) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PollingTreeProperty,
-    ::testing::Values(TreeCase{1, 0.5}, TreeCase{2, 0.5}, TreeCase{3, 0.3},
-                      TreeCase{4, 0.35}, TreeCase{6, 0.35}, TreeCase{8, 0.35},
-                      TreeCase{10, 0.35}, TreeCase{12, 0.2},
-                      TreeCase{14, 0.05}, TreeCase{16, 0.01}),
+    ::testing::Values(tree_case(1, 0.5), tree_case(2, 0.5), tree_case(3, 0.3),
+                      tree_case(4, 0.35), tree_case(6, 0.35),
+                      tree_case(8, 0.35), tree_case(10, 0.35),
+                      tree_case(12, 0.2), tree_case(14, 0.05),
+                      tree_case(16, 0.01)),
     [](const auto& param_info) {
       return "h" + std::to_string(param_info.param.h) + "_d" +
              std::to_string(int(param_info.param.density * 100));
