@@ -116,8 +116,15 @@ class TraceStats final {
       case obs::EventKind::kCircleBegin:
         ++circles_;
         break;
+      case obs::EventKind::kSegmentCorrupted:
+        // The NACK listen window after a corrupted segment: recovery
+        // airtime, as phy::Downlink charges it.
+        phases_.add(obs::Phase::kRecovery, duration);
+        break;
       case obs::EventKind::kPoll:
         break;  // airtime rides on the outcome event
+      case obs::EventKind::kDegrade:
+        break;  // a tier switch carries no airtime
     }
     return true;
   }

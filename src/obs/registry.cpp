@@ -15,10 +15,12 @@ std::string num(double value) {
 }
 
 std::string indent_of(int indent, int depth) {
-  return indent <= 0 ? std::string()
-                     : "\n" + std::string(
-                                  static_cast<std::size_t>(indent * depth),
-                                  ' ');
+  // Built in place: gcc 12 at -O3 misreports `"\n" + std::string(...)` as
+  // an overlapping memcpy (-Wrestrict).
+  if (indent <= 0) return std::string();
+  std::string out(1 + static_cast<std::size_t>(indent * depth), ' ');
+  out[0] = '\n';
+  return out;
 }
 
 }  // namespace

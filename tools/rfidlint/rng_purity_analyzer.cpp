@@ -10,7 +10,7 @@
 // ternaries, `if (...)` condition lines) stay legal: they do not nest the
 // draw inside a conditional *block*.
 #include <algorithm>
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -110,7 +110,10 @@ void check_region(std::vector<Finding>& findings, const FileContext& context,
   // arm-gated, false = a conditional block a draw must not sit in.
   std::vector<bool> gates;
   // A classified `if`/`else` waiting for its `{` (or `;` if braceless).
-  std::optional<bool> pending;
+  // A plain enum, not std::optional<bool>: gcc 12 at -O3 misreports the
+  // optional's payload as maybe-uninitialized.
+  enum class Pending : std::uint8_t { kNone, kArmed, kUnarmed };
+  Pending pending = Pending::kNone;
   // When an if-condition spans lines, collect it until parens balance.
   bool collecting = false;
   int cond_depth = 0;
@@ -125,7 +128,7 @@ void check_region(std::vector<Finding>& findings, const FileContext& context,
     if (!line_has_if && has_draw(code)) {
       const bool in_unarmed_block =
           std::find(gates.begin(), gates.end(), false) != gates.end();
-      if (in_unarmed_block || (pending.has_value() && !*pending)) {
+      if (in_unarmed_block || pending == Pending::kUnarmed) {
         add_finding(
             findings, context, line, kRuleConditionalDraw,
             "RNG draw nested under a conditional inside "
@@ -144,7 +147,8 @@ void check_region(std::vector<Finding>& findings, const FileContext& context,
         if (c == '(') ++cond_depth;
         if (c == ')' && --cond_depth == 0) {
           collecting = false;
-          pending = is_arm_gate(cond_text);
+          pending =
+              is_arm_gate(cond_text) ? Pending::kArmed : Pending::kUnarmed;
         }
         ++i;
         continue;
@@ -164,17 +168,17 @@ void check_region(std::vector<Finding>& findings, const FileContext& context,
       if (word_at(code, i, "else")) {
         // Bare `else`: the disarmed arm of a gate; `else if` re-classifies
         // via the `if` branch above on a later character.
-        pending = false;
+        pending = Pending::kUnarmed;
         i += 4;
         continue;
       }
       if (c == '{') {
-        gates.push_back(pending.value_or(true));
-        pending.reset();
+        gates.push_back(pending != Pending::kUnarmed);
+        pending = Pending::kNone;
       } else if (c == '}') {
         if (!gates.empty()) gates.pop_back();
-      } else if (c == ';' && pending.has_value()) {
-        pending.reset();  // braceless body ended
+      } else if (c == ';' && pending != Pending::kNone) {
+        pending = Pending::kNone;  // braceless body ended
       }
       ++i;
     }
