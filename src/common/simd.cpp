@@ -67,6 +67,35 @@ std::size_t compact_nonsingletons_scalar(const std::uint32_t* counts,
   return write;
 }
 
+std::size_t split_members_scalar(std::uint64_t seed, std::uint64_t mask,
+                                 std::uint64_t threshold, IdColumns in,
+                                 IdColumns keep, IdColumns join,
+                                 std::size_t n) noexcept {
+  // Members are the rare side (f / F = n* / n_remaining) in every circle
+  // but the last few, so the branch predicts well. Element i is read in
+  // full before keep[kept] is written: with keep aliasing in, kept <= i
+  // makes that store a self-copy at worst.
+  std::size_t kept = 0;
+  std::size_t joined = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t payload = in.payload[i];
+    const std::uint64_t hi = in.id_hi[i];
+    const std::uint64_t lo = in.id_lo[i];
+    if ((tag_hash_words(seed, hi, lo) & mask) < threshold) {
+      join.payload[joined] = payload;
+      join.id_hi[joined] = hi;
+      join.id_lo[joined] = lo;
+      ++joined;
+    } else {
+      keep.payload[kept] = payload;
+      keep.id_hi[kept] = hi;
+      keep.id_lo[kept] = lo;
+      ++kept;
+    }
+  }
+  return joined;
+}
+
 #if defined(RFID_SIMD_X86)
 
 // GCC 12's avx512 intrinsic headers expand the no-mask conversion forms
@@ -232,6 +261,58 @@ compact_nonsingletons_avx512(const std::uint32_t* counts,
   }
   return compact_nonsingletons_scalar(counts, slot, col_a, col_b, col_c, i, n,
                                       write);
+}
+
+/// `columns` advanced by `offset` elements.
+IdColumns advance(IdColumns columns, std::size_t offset) noexcept {
+  return {columns.payload + offset, columns.id_hi + offset,
+          columns.id_lo + offset};
+}
+
+__attribute__((target("avx512f,avx512dq"))) std::size_t
+split_members_avx512(std::uint64_t seed, std::uint64_t mask,
+                     std::uint64_t threshold, IdColumns in, IdColumns keep,
+                     IdColumns join, std::size_t n) noexcept {
+  // hash_indices_avx512's hash chain, then one unsigned compare of the
+  // masked hash against f gives the member mask. Compress stores send the
+  // non-members to the keep cursor and the members to the join cursor.
+  // keep + kept never passes in + i, and a compress store writes exactly
+  // popcount(mask) elements, so an in-place split never overwrites an
+  // element a later iteration still has to load.
+  const __m512i seeded = _mm512_set1_epi64(
+      static_cast<long long>(mix64(seed ^ 0x2545f4914f6cdd1dULL)));
+  const __m512i golden =
+      _mm512_set1_epi64(static_cast<long long>(0x9e3779b97f4a7c15ULL));
+  const __m512i low_bits = _mm512_set1_epi64(static_cast<long long>(mask));
+  const __m512i limit = _mm512_set1_epi64(static_cast<long long>(threshold));
+  std::size_t kept = 0;
+  std::size_t joined = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512i hi = _mm512_loadu_si512(in.id_hi + i);
+    const __m512i lo = _mm512_loadu_si512(in.id_lo + i);
+    __m512i acc = mix64x8(_mm512_xor_si512(seeded, hi));
+    acc = mix64x8(_mm512_xor_si512(acc, _mm512_mullo_epi64(lo, golden)));
+    const __mmask8 member =
+        _mm512_cmplt_epu64_mask(_mm512_and_si512(acc, low_bits), limit);
+    const __mmask8 stay = static_cast<__mmask8>(~member);
+    const __m512i payload = _mm512_loadu_si512(in.payload + i);
+    _mm512_mask_compressstoreu_epi64(keep.payload + kept, stay, payload);
+    _mm512_mask_compressstoreu_epi64(keep.id_hi + kept, stay, hi);
+    _mm512_mask_compressstoreu_epi64(keep.id_lo + kept, stay, lo);
+    if (member != 0) {
+      _mm512_mask_compressstoreu_epi64(join.payload + joined, member, payload);
+      _mm512_mask_compressstoreu_epi64(join.id_hi + joined, member, hi);
+      _mm512_mask_compressstoreu_epi64(join.id_lo + joined, member, lo);
+    }
+    kept += static_cast<std::size_t>(
+        std::popcount(static_cast<unsigned>(stay)));
+    joined += static_cast<std::size_t>(
+        std::popcount(static_cast<unsigned>(member)));
+  }
+  return joined + split_members_scalar(seed, mask, threshold, advance(in, i),
+                                       advance(keep, kept),
+                                       advance(join, joined), n - i);
 }
 
 __attribute__((target("avx512f,avx512dq"))) std::size_t
@@ -409,6 +490,21 @@ std::size_t compact_nonsingletons(const std::uint32_t* counts,
   (void)backend;
   return compact_nonsingletons_scalar(counts, slot, col_a, col_b, col_c, 0, n,
                                       0);
+}
+
+std::size_t split_members(std::uint64_t seed, std::uint64_t modulus,
+                          std::uint64_t threshold, IdColumns in, IdColumns keep,
+                          IdColumns join, std::size_t n, Backend backend) {
+  // Only AVX-512 earns a vector split: AVX2 hashing measures within noise
+  // of scalar and has no compress store, so it and NEON run the scalar
+  // reference, which splits exactly the same way.
+  const std::uint64_t mask = modulus - 1;
+#if defined(RFID_SIMD_X86)
+  if (backend == Backend::kAvx512 && best_backend() == Backend::kAvx512)
+    return split_members_avx512(seed, mask, threshold, in, keep, join, n);
+#endif
+  (void)backend;
+  return split_members_scalar(seed, mask, threshold, in, keep, join, n);
 }
 
 }  // namespace rfid::simd

@@ -2,21 +2,29 @@
 //
 // The per-round work every protocol in the family shares — computing
 // H(r, id) for all awake tags and sifting the bucket histogram for
-// singletons — is data-parallel over the structure-of-arrays population
-// view (tags::TagSoA). This wrapper exposes that work as flat-array
-// kernels with four backends: a scalar reference, AVX-512 (8 × 64-bit
-// lanes), AVX2 (4 × 64-bit lanes), and NEON (2 × 64-bit lanes). Vector
-// backends are compiled in at configure time via the RFID_SIMD CMake
-// option; among the compiled-in backends the widest one the *running* CPU
-// supports is picked at startup (best_backend), so one binary is safe on
-// any machine of its architecture. The implementation lives in simd.cpp —
+// singletons — and EHPP's per-circle membership split are data-parallel
+// over the structure-of-arrays population view (tags::TagSoA). This
+// wrapper exposes that work as flat-array kernels:
+//   hash_indices          — the h-bit index pick of every awake tag;
+//   count_singletons      — singleton buckets of the round's histogram;
+//   compact_nonsingletons — the clean-round compaction;
+//   split_members         — EHPP's circle split (H(r, id) mod F < f).
+// The backends are a scalar reference, AVX-512 (8 × 64-bit lanes), AVX2
+// (4 × 64-bit lanes), and NEON (2 × 64-bit lanes). The two compaction
+// kernels need a compress store, so they have an AVX-512 form only and
+// run the scalar reference on every other backend. Vector backends are
+// compiled in at configure time via the RFID_SIMD CMake option; among the
+// compiled-in backends the widest one the *running* CPU supports is
+// picked at startup (best_backend), so one binary is safe on any machine
+// of its architecture. The implementation lives in simd.cpp —
 // the only translation unit containing vector intrinsics (each kernel
 // carries its own `target` attribute) — so the rest of the build is
 // bit-for-bit independent of the option.
 //
 // Lane→tag determinism rule: out[i] depends ONLY on (seed, id_hi[i],
-// id_lo[i], h) — never on the lane position, the vector width, or a
-// neighbouring element. Every backend evaluates the exact scalar chain
+// id_lo[i], h) — or, for the circle split, (seed, id_hi[i], id_lo[i], F,
+// f) — never on the lane position, the vector width, or a neighbouring
+// element. Every backend evaluates the exact scalar chain
 // rfid::tag_hash_words lane-by-lane, so scalar and SIMD builds (and any
 // future wider backend) produce byte-identical simulation results. The
 // scalar/SIMD cross-check in CI and tests/test_simd.cpp enforce this.
@@ -75,12 +83,34 @@ void hash_indices(std::uint64_t seed, const std::uint64_t* id_hi,
 /// exactly the same elements in the same order (AVX-512 uses masked
 /// compress stores; backends without compress fall back to the scalar
 /// reference). The columns are opaque 64-bit payloads — TagSoA passes its
-/// Tag-pointer column reinterpreted as u64, which the kernels only ever
-/// copy, never interpret.
+/// tag column (Tag addresses stored as integers), which the kernels only
+/// ever copy, never interpret.
 std::size_t compact_nonsingletons(const std::uint32_t* counts,
                                   const std::uint32_t* slot,
                                   std::uint64_t* col_a, std::uint64_t* col_b,
                                   std::uint64_t* col_c, std::size_t n,
                                   Backend backend);
+
+/// Three parallel 64-bit columns of one element range: an opaque payload
+/// the kernels only copy (TagSoA's tag column) and the two ID words
+/// H(r, id) reads.
+struct IdColumns final {
+  std::uint64_t* payload;
+  std::uint64_t* id_hi;
+  std::uint64_t* id_lo;
+};
+
+/// EHPP's circle split in one pass: element i of `in` joins the circle iff
+/// (tag_hash_words(seed, id_hi[i], id_lo[i]) & (modulus - 1)) < threshold,
+/// which is H(r, id) mod F < f for a power-of-two modulus F. Members are
+/// copied, in order, to `join` (room for n); non-members are copied, in
+/// order, to `keep`, which may alias `in` as long as it does not run ahead
+/// of it, so the split can compact in place. Returns the member count.
+/// Membership depends only on (seed, id_hi[i], id_lo[i], modulus,
+/// threshold), so every backend splits identically: AVX-512 uses masked
+/// compress stores, every other backend runs the scalar reference.
+std::size_t split_members(std::uint64_t seed, std::uint64_t modulus,
+                          std::uint64_t threshold, IdColumns in, IdColumns keep,
+                          IdColumns join, std::size_t n, Backend backend);
 
 }  // namespace rfid::simd

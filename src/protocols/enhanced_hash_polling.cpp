@@ -1,10 +1,10 @@
 #include "protocols/enhanced_hash_polling.hpp"
 
-#include <vector>
+#include <algorithm>
+#include <bit>
 
 #include "analysis/ehpp_model.hpp"
 #include "common/error.hpp"
-#include "common/hash.hpp"
 #include "fault/recovery.hpp"
 #include "protocols/hash_polling.hpp"
 
@@ -43,6 +43,8 @@ bool run_ehpp_circle(sim::Session& session, RoundEngine& engine,
     session.downlink().broadcast_vector_bits(config.circle_command_bits);
   }
   RFID_EXPECTS(config.selection_modulus < (1u << 30));
+  // The split tests H(r, id) mod F < f as (H & (F - 1)) < f.
+  RFID_EXPECTS(std::has_single_bit(config.selection_modulus));
   const phy::CircleCommand frame{
       static_cast<std::uint32_t>(config.selection_modulus * subset_target /
                                  active.size()),  // f = F * n* / n_rem
@@ -52,28 +54,17 @@ bool run_ehpp_circle(sim::Session& session, RoundEngine& engine,
   RFID_ENSURES(decoded && decoded->threshold == frame.threshold &&
                decoded->modulus == frame.modulus &&
                decoded->seed == frame.seed);
-  const std::uint64_t circle_seed = decoded->seed;
-  const std::uint64_t modulus = decoded->modulus;
-  const std::uint64_t threshold = decoded->threshold;
 
-  // Tag side: each awake tag decides membership from the decoded seed.
-  // Stable partition into `joined` / kept-in-`active`, preserving relative
-  // order on both sides (exactly what std::erase_if + push_back did on the
-  // old AoS layout). One up-front reserve keeps the circle's allocation
-  // count bounded by the SoA's column count.
-  tags::TagSoA joined;
-  joined.reserve(active.size());
-  const std::size_t n = active.size();
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tag_index_mod(circle_seed, active.tag(i)->id(), modulus) < threshold) {
-      joined.push_back_from(active, i);
-    } else {
-      if (kept != i) active.move_element(kept, i);
-      ++kept;
-    }
-  }
-  active.resize_down(kept);
+  // Tag side: each awake tag decides membership from the decoded values.
+  // One pass over the ID words appends the members, in order, to the
+  // engine's subset scratch and compacts the rest of `active` in place, in
+  // order. Twice the expected subset size covers any circle's binomial
+  // draw, so the scratch grows in the first circle only.
+  tags::TagSoA& joined = engine.subset_scratch();
+  joined.clear();
+  joined.reserve(std::min(active.size(), 2 * subset_target));
+  active.split_circle(decoded->seed, decoded->modulus, decoded->threshold,
+                      joined, engine.hash_backend());
 
   // Query the subset to exhaustion; unselected tags wait for later
   // circles. An unlucky empty subset just costs the circle command.

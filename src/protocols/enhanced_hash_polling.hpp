@@ -30,7 +30,8 @@ class Ehpp final : public PollingProtocol {
     /// Subset size n*; 0 derives the optimum from the analytical model for
     /// the configured l_c and init cost.
     std::size_t subset_size = 0;
-    /// F of the circle command; must fit the frame's 30-bit field.
+    /// F of the circle command: a power of two that fits the frame's
+    /// 30-bit field, so tags test H(r, id) mod F < f with a mask.
     std::uint64_t selection_modulus = 1u << 20;
   };
 

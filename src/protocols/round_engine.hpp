@@ -152,6 +152,10 @@ class RoundEngine final {
   [[nodiscard]] std::vector<std::size_t>& chunk_scratch() noexcept {
     return chunk_scratch_;
   }
+  /// Run-scoped scratch for EHPP's circle subset: run_ehpp_circle splits
+  /// the circle's members into it and drains it with run_rounds, so its
+  /// capacity is paid in the first circle and reused by every later one.
+  [[nodiscard]] tags::TagSoA& subset_scratch() noexcept { return subset_; }
 
   /// The HPP dispatch: singleton indices in ascending order, each poll
   /// carrying the full h-bit index. Shared by HPP proper, the HPP rounds
@@ -176,6 +180,7 @@ class RoundEngine final {
   std::vector<std::size_t> pending_;
   std::vector<std::uint32_t> singleton_scratch_;
   std::vector<std::size_t> chunk_scratch_;
+  tags::TagSoA subset_;
 };
 
 }  // namespace rfid::protocols

@@ -1,5 +1,8 @@
 #include "tags/soa.hpp"
 
+#include <algorithm>
+#include <array>
+
 namespace rfid::tags {
 
 void TagSoA::reserve(std::size_t n) {
@@ -18,24 +21,11 @@ void TagSoA::clear() noexcept {
 
 void TagSoA::push_back(const Tag* tag) {
   const TagId& id = tag->id();
-  tag_.push_back(tag);
+  tag_.push_back(reinterpret_cast<std::uintptr_t>(tag));
   id_hi_.push_back((static_cast<std::uint64_t>(id.words[0]) << 32) |
                    id.words[1]);
   id_lo_.push_back(static_cast<std::uint64_t>(id.words[2]));
   slot_.push_back(0);
-}
-
-void TagSoA::push_back_from(const TagSoA& other, std::size_t i) {
-  tag_.push_back(other.tag_[i]);
-  id_hi_.push_back(other.id_hi_[i]);
-  id_lo_.push_back(other.id_lo_[i]);
-  slot_.push_back(0);
-}
-
-void TagSoA::move_element(std::size_t dst, std::size_t src) noexcept {
-  tag_[dst] = tag_[src];
-  id_hi_[dst] = id_hi_[src];
-  id_lo_[dst] = id_lo_[src];
 }
 
 void TagSoA::resize_down(std::size_t n) noexcept {
@@ -70,14 +60,39 @@ void TagSoA::compact_singletons(const std::vector<std::uint32_t>& counts,
   // Survival is "my bucket was not a singleton", read straight off the
   // round's histogram. Reading slot_[i] is safe even though slots are not
   // moved: the read index only ever runs ahead of the write cursor, so
-  // every slot read is the one this round's hash wrote. The kernel treats
-  // the Tag-pointer column as an opaque 64-bit payload it only copies.
-  static_assert(sizeof(const Tag*) == sizeof(std::uint64_t));
+  // every slot read is the one this round's hash wrote.
   const std::size_t write = simd::compact_nonsingletons(
-      counts.data(), slot_.data(),
-      reinterpret_cast<std::uint64_t*>(tag_.data()), id_hi_.data(),
-      id_lo_.data(), size(), backend);
+      counts.data(), slot_.data(), tag_.data(), id_hi_.data(), id_lo_.data(),
+      size(), backend);
   resize_down(write);
+}
+
+void TagSoA::split_circle(std::uint64_t seed, std::uint64_t modulus,
+                          std::uint64_t threshold, TagSoA& members,
+                          simd::Backend backend) {
+  // The kernel needs room for every member of the range it splits. Staging
+  // one chunk's members on the stack bounds that room by the chunk, not by
+  // n; members are the rare side, so appending them costs little.
+  // Non-members compact in place: the write cursor never passes the read
+  // cursor.
+  std::array<std::uint64_t, kSplitChunk> tag{};
+  std::array<std::uint64_t, kSplitChunk> hi{};
+  std::array<std::uint64_t, kSplitChunk> lo{};
+  const simd::IdColumns staged{tag.data(), hi.data(), lo.data()};
+  const std::size_t n = size();
+  std::size_t kept = 0;
+  for (std::size_t read = 0; read < n; read += kSplitChunk) {
+    const std::size_t len = std::min(kSplitChunk, n - read);
+    const std::size_t joined = simd::split_members(seed, modulus, threshold,
+                                                   columns(read), columns(kept),
+                                                   staged, len, backend);
+    members.tag_.insert(members.tag_.end(), tag.data(), tag.data() + joined);
+    members.id_hi_.insert(members.id_hi_.end(), hi.data(), hi.data() + joined);
+    members.id_lo_.insert(members.id_lo_.end(), lo.data(), lo.data() + joined);
+    kept += len - joined;
+  }
+  members.slot_.resize(members.tag_.size(), 0);
+  resize_down(kept);
 }
 
 }  // namespace rfid::tags

@@ -11,8 +11,10 @@
 // surviving elements (protocol semantics depend on ascending dispatch
 // order).
 //
-// The Tag pointer column stays: polls, records and presence checks need
-// the full object. It is simply no longer on the hashing path. Presence
+// The tag column stays: polls, records and presence checks need the full
+// object. It holds each Tag's address as a std::uintptr_t, so the kernels
+// that move it (compaction, the circle split) copy a genuine integer
+// column, and it is simply no longer on the hashing path. Presence
 // itself is NOT mirrored here — the polling loops query
 // sim::Session::is_present live so churn schedules are honoured, and a
 // cached copy would only invite stale reads.
@@ -20,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -40,13 +43,8 @@ class TagSoA final {
   /// round writes it.
   void push_back(const Tag* tag);
 
-  /// Appends the identity of element `i` of `other` (EHPP's
-  /// circle-membership split). The slot column is round-scoped scratch
-  /// (see below) and is not carried over.
-  void push_back_from(const TagSoA& other, std::size_t i);
-
   [[nodiscard]] const Tag* tag(std::size_t i) const noexcept {
-    return tag_[i];
+    return reinterpret_cast<const Tag*>(tag_[i]);
   }
   [[nodiscard]] std::uint64_t id_hi(std::size_t i) const noexcept {
     return id_hi_[i];
@@ -90,16 +88,34 @@ class TagSoA final {
   void compact_singletons(const std::vector<std::uint32_t>& counts,
                           simd::Backend backend);
 
-  /// Copies the identity columns of element `src` over element `dst`
-  /// (manual compaction loops; dst <= src keeps the operation
-  /// order-preserving). Slots are not copied.
-  void move_element(std::size_t dst, std::size_t src) noexcept;
+  /// Elements split_circle hands the kernel per call; a chunk's members
+  /// are staged on the stack before they are appended.
+  static constexpr std::size_t kSplitChunk = 512;
+
+  /// EHPP's circle split (paper §III-D): every element whose ID hashes to
+  /// H(seed, id) mod modulus < threshold is appended, in order, to
+  /// `members` (a different TagSoA, slots 0); the rest are compacted in
+  /// place, in order. `modulus` must be a power of two. Runs through
+  /// simd::split_members one fixed-size chunk at a time, so the only heap
+  /// growth is `members` outgrowing its capacity; any backend splits
+  /// exactly the same way.
+  void split_circle(std::uint64_t seed, std::uint64_t modulus,
+                    std::uint64_t threshold, TagSoA& members,
+                    simd::Backend backend);
+
+ private:
+  static_assert(std::is_same_v<std::uintptr_t, std::uint64_t>,
+                "the kernels move the tag column as 64-bit words");
 
   /// Truncates to the first `n` elements (n <= size()).
   void resize_down(std::size_t n) noexcept;
 
- private:
-  std::vector<const Tag*> tag_;
+  /// The identity columns from element `i` on, as the kernels see them.
+  [[nodiscard]] simd::IdColumns columns(std::size_t i) noexcept {
+    return {tag_.data() + i, id_hi_.data() + i, id_lo_.data() + i};
+  }
+
+  std::vector<std::uintptr_t> tag_;
   std::vector<std::uint64_t> id_hi_;
   std::vector<std::uint64_t> id_lo_;
   std::vector<std::uint32_t> slot_;

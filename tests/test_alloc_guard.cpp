@@ -12,7 +12,8 @@
 //   EHPP   — the HPP rounds inside a circle (init bits folded into w; the
 //            per-circle setup (circle frame encode, subset split) is
 //            paid per circle, not per round, and is gated separately as
-//            "bounded by circles, not rounds");
+//            "bounded by circles, not rounds"; the split itself
+//            allocates nothing once the first circle warmed its scratch);
 //   TPP    — TppRoundPolicy with the differential tree dispatch;
 //   ADAPT  — TPP rounds with the degradation monitor enabled (the clean-
 //            channel tier ADAPT actually runs).
@@ -199,6 +200,45 @@ TEST(AllocGuard, CheckpointEncodeIntoWarmBufferAllocationFree) {
   const alloc_guard::Probe probe;
   for (int i = 0; i < 100; ++i) sim::encode_into(checkpoint, buffer);
   EXPECT_EQ(probe.delta(), 0u);
+}
+
+TEST(AllocGuard, EhppCircleSplitAllocationFree) {
+  // The membership split alone, circle after circle: once the first
+  // circle has warmed the engine's subset scratch, each further split —
+  // hashing, in-place compaction and the member append — allocates
+  // nothing. Each subset is dropped as if its rounds had read it.
+  Xoshiro256ss id_rng(kSeed + 3);
+  const tags::TagPopulation population =
+      tags::TagPopulation::uniform_random(8 * kPopulation, id_rng);
+  sim::SessionConfig config;
+  config.seed = kSeed;
+  config.keep_records = false;
+  sim::Session session(population, config);
+  tags::TagSoA active = protocols::make_devices(session);
+  fault::RecoveryCoordinator recovery(config.recovery);
+  protocols::RoundEngine engine(session, recovery);
+  const protocols::Ehpp::Config ehpp;
+  const std::size_t subset_target =
+      protocols::Ehpp(ehpp).effective_subset_size();
+  ASSERT_TRUE(protocols::run_ehpp_circle(session, engine, active, ehpp,
+                                         subset_target));
+
+  Xoshiro256ss seed_rng(kSeed + 4);
+  std::uint64_t splits = 0;
+  std::uint64_t allocs = 0;
+  while (active.size() > subset_target) {
+    tags::TagSoA& subset = engine.subset_scratch();
+    subset.clear();
+    const std::uint64_t threshold =
+        ehpp.selection_modulus * subset_target / active.size();
+    const alloc_guard::Probe probe;
+    active.split_circle(seed_rng(), ehpp.selection_modulus, threshold, subset,
+                        engine.hash_backend());
+    allocs += probe.delta();
+    ++splits;
+  }
+  EXPECT_GE(splits, 10u);  // the gate must have measured something
+  EXPECT_EQ(allocs, 0u);
 }
 
 TEST(AllocGuard, EhppCircleSetupBoundedByCircles) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/ehpp_model.hpp"
+#include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "protocols/enhanced_hash_polling.hpp"
 #include "protocols/hash_polling.hpp"
@@ -102,6 +103,15 @@ TEST(Ehpp, MisconfiguredSubsetSizeStillCompletes) {
   EXPECT_EQ(tiny.metrics.polls, 3000u);
   const auto huge = run_ehpp(3000, 11, Ehpp::Config{.subset_size = 100000});
   EXPECT_EQ(huge.metrics.polls, 3000u);
+}
+
+TEST(Ehpp, NonPowerOfTwoModulusIsRejected) {
+  // Tags test H(r, id) mod F < f as (H & (F - 1)) < f, which only a power
+  // of two F makes exact.
+  for (const std::uint64_t modulus : {1'000'000ull, (1ull << 20) + 1}) {
+    const Ehpp::Config config{.selection_modulus = modulus};
+    EXPECT_THROW(run_ehpp(3000, 18, config), ContractViolation) << modulus;
+  }
 }
 
 TEST(Ehpp, OptimalSubsetBeatsNeighbours) {

@@ -4,21 +4,26 @@
 // The lane→tag rule says every kernel output depends only on the per-tag
 // inputs, never on the backend or its vector width — so the scalar
 // reference and the best compiled-in backend must agree bit-for-bit, and
-// the clean-round fast path built on the kernels must be invisible in the
-// simulation metrics. The population sizes pin the lane-tail edge cases:
-// 0, 1, width-1 (pure tail), width (pure vector), width+1 (vector + tail).
+// the clean-round fast path and the EHPP circle split built on the kernels
+// must be invisible in the simulation metrics. The population sizes pin
+// the lane-tail edge cases: 0, 1, width-1 (pure tail), width (pure
+// vector), width+1 (vector + tail).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "fault/recovery.hpp"
+#include "protocols/enhanced_hash_polling.hpp"
 #include "protocols/hash_polling.hpp"
 #include "protocols/round_engine.hpp"
 #include "sim/session.hpp"
 #include "tags/population.hpp"
+#include "tags/soa.hpp"
 
 namespace rfid {
 namespace {
@@ -117,6 +122,60 @@ TEST(SimdKernels, CompactNonsingletonsMatchesScalarAndKeepsOrder) {
   }
 }
 
+/// Checks that `soa` holds exactly `want`, in order, with each element's ID
+/// words moved along with its tag.
+void expect_holds(const tags::TagSoA& soa,
+                  const std::vector<const tags::Tag*>& want,
+                  const char* side) {
+  ASSERT_EQ(soa.size(), want.size()) << side;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const TagId& id = want[i]->id();
+    EXPECT_EQ(soa.tag(i), want[i]) << side << " i=" << i;
+    EXPECT_EQ(soa.id_hi(i), (std::uint64_t{id.words[0]} << 32) | id.words[1])
+        << side << " i=" << i;
+    EXPECT_EQ(soa.id_lo(i), id.words[2]) << side << " i=" << i;
+  }
+}
+
+TEST(SimdKernels, SplitCircleMatchesPerTagReference) {
+  // Lane tails, TagSoA::split_circle's chunk edges, and a population of
+  // many chunks, at thresholds that admit no tag, about half and every
+  // tag. Both backends must give the reference's members and survivors in
+  // the reference's order.
+  const std::size_t w = simd::lanes();
+  const std::size_t chunk = tags::TagSoA::kSplitChunk;
+  const std::uint64_t modulus = 1u << 20;
+  Xoshiro256ss rng(20261017);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, w - 1, w, w + 1, chunk - 1, chunk,
+        chunk + 1, std::size_t{10'000}}) {
+    const auto pop = tags::TagPopulation::uniform_random(n, rng);
+    for (const std::uint64_t threshold :
+         {std::uint64_t{0}, modulus / 2, modulus}) {
+      const std::uint64_t seed = rng();
+      std::vector<const tags::Tag*> members;
+      std::vector<const tags::Tag*> rest;
+      for (const tags::Tag& tag : pop) {
+        if (tag_index_mod(seed, tag.id(), modulus) < threshold)
+          members.push_back(&tag);
+        else
+          rest.push_back(&tag);
+      }
+      for (const simd::Backend backend :
+           {simd::Backend::kScalar, simd::best_backend()}) {
+        SCOPED_TRACE(std::string(simd::backend_name(backend)) + " n=" +
+                     std::to_string(n) + " f=" + std::to_string(threshold));
+        tags::TagSoA active;
+        for (const tags::Tag& tag : pop) active.push_back(&tag);
+        tags::TagSoA joined;
+        active.split_circle(seed, modulus, threshold, joined, backend);
+        expect_holds(joined, members, "members");
+        expect_holds(active, rest, "survivors");
+      }
+    }
+  }
+}
+
 /// Drains a fresh HPP session and returns its metrics, pinning the kernel
 /// backend the engine uses.
 sim::Metrics drain_hpp(std::size_t n, std::uint64_t seed,
@@ -133,6 +192,28 @@ sim::Metrics drain_hpp(std::size_t n, std::uint64_t seed,
   engine.set_hash_backend(backend);
   protocols::HppRoundPolicy policy{protocols::HppRoundConfig{}};
   engine.run_rounds(active, policy);
+  return session.metrics();
+}
+
+/// Drains a fresh EHPP session circle by circle (as Ehpp::run does),
+/// pinning the backend of every circle's split and of its rounds.
+sim::Metrics drain_ehpp(std::size_t n, std::uint64_t seed,
+                        simd::Backend backend) {
+  Xoshiro256ss rng(seed);
+  const auto pop = tags::TagPopulation::uniform_random(n, rng);
+  sim::SessionConfig config;
+  config.seed = seed ^ 0x9E3779B97F4A7C15ull;
+  sim::Session session(pop, config);
+  tags::TagSoA active = protocols::make_devices(session);
+  fault::RecoveryCoordinator recovery(config.recovery);
+  protocols::RoundEngine engine(session, recovery);
+  engine.set_hash_backend(backend);
+  const protocols::Ehpp::Config ehpp;
+  const std::size_t subset_target =
+      protocols::Ehpp(ehpp).effective_subset_size();
+  while (!active.empty())
+    EXPECT_TRUE(protocols::run_ehpp_circle(session, engine, active, ehpp,
+                                           subset_target));
   return session.metrics();
 }
 
@@ -153,6 +234,17 @@ TEST(SimdEngine, BackendIsInvisibleInMetricsAtLaneTails) {
     const auto scalar =
         drain_hpp(n, 31337 + n, simd::Backend::kScalar, false);
     const auto vec = drain_hpp(n, 31337 + n, simd::best_backend(), false);
+    expect_identical(scalar, vec);
+  }
+}
+
+TEST(SimdEngine, EhppSplitBackendIsInvisibleInMetrics) {
+  // Every circle's membership split runs on the engine's backend.
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{5000}}) {
+    const auto scalar = drain_ehpp(n, 4242 + n, simd::Backend::kScalar);
+    const auto vec = drain_ehpp(n, 4242 + n, simd::best_backend());
+    EXPECT_GT(vec.circles, 1u);
+    EXPECT_EQ(scalar.circles, vec.circles);
     expect_identical(scalar, vec);
   }
 }
