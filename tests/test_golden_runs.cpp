@@ -5,6 +5,9 @@
 // (hexfloat, so the comparison is bit-exact), the collected-record count and
 // the ordered missing/undelivered id lists — for fixed seeds across
 // {HPP, EHPP, TPP, ADAPT} x {clean channel, BER + framing + recovery}.
+// The clean channel runs twice: with per-poll records (the per-poll
+// dispatch) and without them (the engine's batched clean-round fast path,
+// wherever the round's dispatch allows it).
 //
 // These goldens were generated BEFORE the Downlink/AirLoop/
 // RecoveryCoordinator/RoundEngine decomposition and must never be edited to
@@ -36,6 +39,15 @@ tags::TagPopulation golden_population() {
 sim::SessionConfig clean_config() {
   sim::SessionConfig config;
   config.seed = 9001;
+  return config;
+}
+
+/// The clean scenario without per-poll records: the session takes the
+/// engine's clean-round fast path wherever the dispatch allows it, so these
+/// cases pin the batched accounting against the per-poll one above.
+sim::SessionConfig clean_record_free_config() {
+  sim::SessionConfig config = clean_config();
+  config.keep_records = false;
   return config;
 }
 
@@ -114,7 +126,7 @@ std::string describe(const sim::RunResult& result) {
   return os.str();
 }
 
-enum class Scenario { kClean, kFaulted, kUnframedBer };
+enum class Scenario { kClean, kCleanRecordFree, kFaulted, kUnframedBer };
 
 struct GoldenCase final {
   const char* name;
@@ -127,6 +139,7 @@ sim::SessionConfig config_for(Scenario scenario,
                               const tags::TagPopulation& population) {
   switch (scenario) {
     case Scenario::kClean: return clean_config();
+    case Scenario::kCleanRecordFree: return clean_record_free_config();
     case Scenario::kFaulted: return faulted_config(population);
     case Scenario::kUnframedBer: return unframed_ber_config();
   }
@@ -317,6 +330,69 @@ constexpr GoldenCase kAdaptUnframedBer{
     "undelivered_ids=\n"
     "fault_layer=1\n"};
 
+// --- Record-free clean goldens (generated before TPP joined the clean-round
+// fast path; DO NOT EDIT to make tests pass) ---------------------------------
+
+constexpr GoldenCase kHppCleanRecordFree{
+    "hpp_clean_record_free", protocols::ProtocolKind::kHpp,
+    Scenario::kCleanRecordFree,
+    "protocol=HPP population=300\n"
+    "polls=300 missing=0 corrupted=0 retries=0 undelivered=0\n"
+    "rounds=10 circles=0 slots_total=300 slots_useful=300 slots_wasted=0\n"
+    "vector_bits=2448 command_bits=320 tag_bits=300\n"
+    "segments_sent=0 segments_corrupted=0 segments_retransmitted=0 downlink_corrupted=0 degradations=0 framing_overhead_bits=0\n"
+    "time_us=0x1.88c6cccccccc2p+17\n"
+    "phases=0x1.0ad4cccccccbcp+17,0x1.767ffffffffffp+13,0x1.5f9p+15,0x1.d4cp+12,0x0p+0,0x0p+0\n"
+    "records=0\n"
+    "missing_ids=\n"
+    "undelivered_ids=\n"
+    "fault_layer=0\n"};
+
+constexpr GoldenCase kEhppCleanRecordFree{
+    "ehpp_clean_record_free", protocols::ProtocolKind::kEhpp,
+    Scenario::kCleanRecordFree,
+    "protocol=EHPP population=300\n"
+    "polls=300 missing=0 corrupted=0 retries=0 undelivered=0\n"
+    "rounds=14 circles=1 slots_total=300 slots_useful=300 slots_wasted=0\n"
+    "vector_bits=2613 command_bits=0 tag_bits=300\n"
+    "segments_sent=0 segments_corrupted=0 segments_retransmitted=0 downlink_corrupted=0 degradations=0 framing_overhead_bits=0\n"
+    "time_us=0x1.7d706ccccccdap+17\n"
+    "phases=0x1.16e66ccccccc3p+17,0x0p+0,0x1.5f9p+15,0x1.d4cp+12,0x0p+0,0x0p+0\n"
+    "records=0\n"
+    "missing_ids=\n"
+    "undelivered_ids=\n"
+    "fault_layer=0\n"};
+
+constexpr GoldenCase kTppCleanRecordFree{
+    "tpp_clean_record_free", protocols::ProtocolKind::kTpp,
+    Scenario::kCleanRecordFree,
+    "protocol=TPP population=300\n"
+    "polls=300 missing=0 corrupted=0 retries=0 undelivered=0\n"
+    "rounds=9 circles=0 slots_total=300 slots_useful=300 slots_wasted=0\n"
+    "vector_bits=923 command_bits=288 tag_bits=300\n"
+    "segments_sent=0 segments_corrupted=0 segments_retransmitted=0 downlink_corrupted=0 degradations=0 framing_overhead_bits=0\n"
+    "time_us=0x1.16e3f99999995p+17\n"
+    "phases=0x1.3692599999995p+16,0x1.510ccccccccccp+13,0x1.5f9p+15,0x1.d4cp+12,0x0p+0,0x0p+0\n"
+    "records=0\n"
+    "missing_ids=\n"
+    "undelivered_ids=\n"
+    "fault_layer=0\n"};
+
+constexpr GoldenCase kAdaptCleanRecordFree{
+    "adapt_clean_record_free", protocols::ProtocolKind::kAdaptive,
+    Scenario::kCleanRecordFree,
+    "protocol=ADAPT population=300\n"
+    "polls=300 missing=0 corrupted=0 retries=0 undelivered=0\n"
+    "rounds=9 circles=0 slots_total=300 slots_useful=300 slots_wasted=0\n"
+    "vector_bits=923 command_bits=288 tag_bits=300\n"
+    "segments_sent=0 segments_corrupted=0 segments_retransmitted=0 downlink_corrupted=0 degradations=0 framing_overhead_bits=0\n"
+    "time_us=0x1.16e3f99999995p+17\n"
+    "phases=0x1.3692599999995p+16,0x1.510ccccccccccp+13,0x1.5f9p+15,0x1.d4cp+12,0x0p+0,0x0p+0\n"
+    "records=0\n"
+    "missing_ids=\n"
+    "undelivered_ids=\n"
+    "fault_layer=0\n"};
+
 TEST(GoldenRuns, HppClean) { run_case(kHppClean); }
 TEST(GoldenRuns, EhppClean) { run_case(kEhppClean); }
 TEST(GoldenRuns, TppClean) { run_case(kTppClean); }
@@ -329,6 +405,10 @@ TEST(GoldenRuns, HppUnframedBer) { run_case(kHppUnframedBer); }
 TEST(GoldenRuns, EhppUnframedBer) { run_case(kEhppUnframedBer); }
 TEST(GoldenRuns, TppUnframedBer) { run_case(kTppUnframedBer); }
 TEST(GoldenRuns, AdaptUnframedBer) { run_case(kAdaptUnframedBer); }
+TEST(GoldenRuns, HppCleanRecordFree) { run_case(kHppCleanRecordFree); }
+TEST(GoldenRuns, EhppCleanRecordFree) { run_case(kEhppCleanRecordFree); }
+TEST(GoldenRuns, TppCleanRecordFree) { run_case(kTppCleanRecordFree); }
+TEST(GoldenRuns, AdaptCleanRecordFree) { run_case(kAdaptCleanRecordFree); }
 
 }  // namespace
 }  // namespace rfid
