@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/math_util.hpp"
 
 namespace rfid::protocols {
 
@@ -84,34 +83,27 @@ std::vector<TreeSegment> PollingTree::segments() const {
 
 std::vector<TreeSegment> PollingTree::segments_from_indices(
     std::span<const std::uint32_t> indices, unsigned h) {
-  std::vector<std::uint32_t> sorted_scratch;
+  std::vector<std::uint32_t> sorted(indices.begin(), indices.end());
+  std::sort(sorted.begin(), sorted.end());
   std::vector<TreeSegment> out;
-  segments_from_indices_into(indices, h, sorted_scratch, out);
+  segments_from_indices_into(sorted, h, out);
   return out;
 }
 
 void PollingTree::segments_from_indices_into(
     std::span<const std::uint32_t> indices, unsigned h,
-    std::vector<std::uint32_t>& sorted_scratch, std::vector<TreeSegment>& out) {
-  std::vector<std::uint32_t>& sorted = sorted_scratch;
-  sorted.assign(indices.begin(), indices.end());
-  std::sort(sorted.begin(), sorted.end());
+    std::vector<TreeSegment>& out) {
   out.clear();
-  out.reserve(sorted.size());
-  for (std::size_t j = 0; j < sorted.size(); ++j) {
-    unsigned k = h;
-    if (j > 0) {
-      // k = h minus the common-prefix length with the previous index.
-      const std::uint32_t diff = sorted[j] ^ sorted[j - 1];
-      RFID_EXPECTS(diff != 0 && "duplicate singleton index");
-      k = floor_log2(diff) + 1;
-    }
+  out.reserve(indices.size());
+  std::uint32_t previous = 0;
+  for (std::size_t j = 0; j < indices.size(); ++j) {
+    const std::uint32_t index = indices[j];
+    RFID_EXPECTS((j == 0 || previous < index) &&
+                 "singleton indices must be strictly ascending");
+    const unsigned k = tree_segment_length(j == 0, previous, index, h);
     const std::uint32_t mask = (k >= 32) ? ~0u : ((1u << k) - 1u);
-    out.push_back(TreeSegment{sorted[j] & mask, k, sorted[j]});
-  }
-  if (h == 0 && !sorted.empty()) {
-    out.clear();
-    out.push_back(TreeSegment{0, 0, 0});
+    out.push_back(TreeSegment{index & mask, k, index});
+    previous = index;
   }
 }
 

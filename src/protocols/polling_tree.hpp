@@ -14,6 +14,7 @@
 // agree on every input.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -21,6 +22,17 @@
 #include "common/bitvec.hpp"
 
 namespace rfid::protocols {
+
+/// The segment-length rule of the pre-order broadcast (Section IV-C3): the
+/// segment that completes leaf `index` holds the bits below its common
+/// prefix with the previous leaf `previous` (ascending order, so
+/// previous < index), i.e. floor_log2(previous ^ index) + 1 bits. The
+/// round's first leaf has no predecessor and takes all `h` bits.
+[[nodiscard]] constexpr unsigned tree_segment_length(
+    bool first, std::uint32_t previous, std::uint32_t index,
+    unsigned h) noexcept {
+  return first ? h : static_cast<unsigned>(std::bit_width(previous ^ index));
+}
 
 /// One pre-order broadcast segment; transmitting it completes one leaf.
 struct TreeSegment final {
@@ -47,18 +59,18 @@ class PollingTree final {
   /// Pre-order traversal segments (Section IV-C3).
   [[nodiscard]] std::vector<TreeSegment> segments() const;
 
-  /// Independent construction of the same segments straight from the sorted
-  /// index list, without building a trie. Used to cross-validate segments()
-  /// and as the fast path inside the TPP protocol.
+  /// Independent construction of the same segments straight from the index
+  /// list (any order; it is sorted first), without building a trie. Used to
+  /// cross-validate segments().
   [[nodiscard]] static std::vector<TreeSegment> segments_from_indices(
       std::span<const std::uint32_t> indices, unsigned h);
 
-  /// Same construction writing into caller-owned scratch (`sorted_scratch`
-  /// and `out` are cleared, refilled, and keep their capacity), so a
-  /// per-round caller allocates nothing in steady state.
+  /// Same construction over strictly ascending `indices` (a precondition,
+  /// which also rules out duplicates) into caller-owned `out` (cleared,
+  /// refilled, keeps its capacity), so a per-round caller that reads the
+  /// indices off its bucket histogram allocates nothing in steady state.
   static void segments_from_indices_into(
       std::span<const std::uint32_t> indices, unsigned h,
-      std::vector<std::uint32_t>& sorted_scratch,
       std::vector<TreeSegment>& out);
 
   /// The paper's Eq. (7): maximal node count of a trie with m leaves of

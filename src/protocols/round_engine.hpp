@@ -16,10 +16,12 @@
 // so the tag-side index pick runs as one batched kernel over contiguous ID
 // words (common/simd.hpp; AVX2/NEON behind a scalar reference). On top of
 // that, rounds whose polls cannot fail (sim::Session::clean_poll_fast_path)
-// skip the per-poll dispatch machinery entirely: the engine counts the
-// singleton buckets, folds their accounting in one batched call, and
-// compacts straight off the bucket histogram — byte-identical results,
-// an order of magnitude less work per round.
+// skip the per-poll dispatch machinery entirely, for HPP and TPP alike: the
+// engine reads each singleton's vector length off the bucket histogram (h
+// per HPP poll; for TPP, the tree-segment length of each leaf in ascending
+// order), folds their accounting in one batched call, and compacts straight
+// off the histogram — byte-identical results, an order of magnitude less
+// work per round.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +44,16 @@ namespace rfid::protocols {
 
 class RoundEngine;
 
+/// How a round's polls address a singleton on an unframed channel.
+enum class Addressing : std::uint8_t {
+  /// Each poll carries the full h-bit index (HPP, the HPP rounds inside
+  /// EHPP circles, ADAPT's HPP tier).
+  kAbsoluteIndex,
+  /// Each poll carries the differential polling-tree segment that completes
+  /// its leaf (TPP, paper Section IV-C).
+  kTreeSegment,
+};
+
 /// What a round-init broadcast established. `delivered` is false when the
 /// framed command exhausted its retransmission budget — no tag knows
 /// <index_length, seed> and the round must not run.
@@ -49,6 +61,9 @@ struct RoundInit final {
   bool delivered = true;
   unsigned index_length = 0;  ///< h: bits per picked index
   std::uint64_t seed = 0;     ///< hash seed the tags decoded
+  /// Lets the engine's clean-round fast path price each poll's vector
+  /// without calling back into the policy.
+  Addressing addressing = Addressing::kAbsoluteIndex;
 };
 
 /// Per-protocol variation points of one polling round.
@@ -68,11 +83,12 @@ class RoundPolicy {
   /// indices in ascending order, each poll carrying the full h-bit index.
   virtual void dispatch(RoundEngine& engine, tags::TagSoA& active);
 
-  /// True when every singleton poll this dispatch issues on a clean
-  /// channel is an identical full-h-bit-vector poll — the precondition for
-  /// the engine's batched clean-round fast path. The default (HPP-shaped)
-  /// dispatch qualifies; TPP's differential tree does not (its per-poll
-  /// vector length varies with the tree segment).
+  /// True when, on a clean channel, this dispatch issues exactly the polls
+  /// RoundInit::addressing describes (one per singleton, in ascending index
+  /// order) and nothing else — the precondition for the engine's batched
+  /// clean-round fast path. The HPP dispatch and TPP's differential tree
+  /// both qualify; a TPP run that cross-checks its tree against the trie
+  /// every round opts out.
   [[nodiscard]] virtual bool batchable_dispatch() const noexcept {
     return true;
   }
@@ -132,7 +148,8 @@ class RoundEngine final {
   }
   /// Last device index that picked each bucket; meaningful where the
   /// count is 1 (the singleton's occupant). Filled only on the per-poll
-  /// dispatch path — the clean-round fast path never consults it.
+  /// dispatch path — the clean-round fast path never consults it (nor
+  /// done() and pending()).
   [[nodiscard]] const std::vector<std::size_t>& occupant() const noexcept {
     return occupant_;
   }
@@ -142,13 +159,14 @@ class RoundEngine final {
   [[nodiscard]] std::vector<std::size_t>& pending() noexcept {
     return pending_;
   }
-  /// Round-scoped scratch for policies that need the singleton index list
-  /// (TPP's tree build). Cleared by the engine at round start.
+  /// Round-scoped scratch for the singleton index list (TPP's per-poll
+  /// tree build; the engine's own clean TPP walk). Cleared by the engine
+  /// before dispatch.
   [[nodiscard]] std::vector<std::uint32_t>& singleton_scratch() noexcept {
     return singleton_scratch_;
   }
   /// Round-scoped scratch for policies that chunk the dispatch (TPP's
-  /// framed tree chunks). Cleared by the engine at round start.
+  /// framed tree chunks). Cleared by the engine before dispatch.
   [[nodiscard]] std::vector<std::size_t>& chunk_scratch() noexcept {
     return chunk_scratch_;
   }
@@ -163,6 +181,18 @@ class RoundEngine final {
   void dispatch_singletons_ascending(tags::TagSoA& active);
 
  private:
+  /// Clean-round fast path: fills poll_bits_ with each singleton's vector
+  /// length in dispatch order, compacts `active` off the histogram, and
+  /// folds the polls' accounting in one AirLoop call.
+  void run_clean_polls(tags::TagSoA& active, Addressing addressing);
+
+  /// The TPP half of run_clean_polls: collects the leaves of the round's
+  /// polling tree (the singleton buckets of the histogram of `n` tags, in
+  /// ascending order) and fills poll_bits_ with each leaf's segment
+  /// length, replaying the shared tag register as the per-poll tree
+  /// dispatch does. Returns the leaf count.
+  std::size_t tree_segment_lengths(std::size_t n);
+
   /// End-of-round mop-up: hands the parked device indices to the recovery
   /// coordinator, re-polling each with the full h_-bit absolute index
   /// (differential encodings cannot address an out-of-order retry).
@@ -180,6 +210,8 @@ class RoundEngine final {
   std::vector<std::size_t> pending_;
   std::vector<std::uint32_t> singleton_scratch_;
   std::vector<std::size_t> chunk_scratch_;
+  /// Per-poll vector lengths of a clean round, in dispatch order.
+  std::vector<std::uint8_t> poll_bits_;
   tags::TagSoA subset_;
 };
 

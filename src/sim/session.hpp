@@ -70,10 +70,12 @@ class Session final : private phy::AirtimeSink, public fault::RecoveryHost {
   /// succeed with fixed per-poll accounting: no framing, no reply noise or
   /// structured link model, no downlink BER, no churn or presence filter,
   /// no per-poll record/trace output, and no open recovery phase. Under
-  /// these conditions the round engine may replace the per-poll dispatch
-  /// loop with AirLoop::clean_singleton_replies — byte-identical metrics,
-  /// a fraction of the work. Recovery merely being *enabled* stays
-  /// eligible: with no failures nothing is ever parked for the mop-up.
+  /// these conditions a poll's airtime depends only on its vector length,
+  /// so the round engine may replace the per-poll dispatch loop of an HPP
+  /// or TPP round with one AirLoop::clean_singleton_replies call over the
+  /// polls' lengths — byte-identical metrics, a fraction of the work.
+  /// Recovery merely being *enabled* stays eligible: with no failures
+  /// nothing is ever parked for the mop-up.
   [[nodiscard]] bool clean_poll_fast_path() const noexcept {
     return !config_.framing.enabled && config_.reply_error_rate == 0.0 &&
            !config_.keep_records && config_.tracer == nullptr &&

@@ -18,9 +18,11 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "fault/recovery.hpp"
+#include "metrics_equal.hpp"
 #include "protocols/enhanced_hash_polling.hpp"
 #include "protocols/hash_polling.hpp"
 #include "protocols/round_engine.hpp"
+#include "protocols/tree_polling.hpp"
 #include "sim/session.hpp"
 #include "tags/population.hpp"
 #include "tags/soa.hpp"
@@ -176,10 +178,13 @@ TEST(SimdKernels, SplitCircleMatchesPerTagReference) {
   }
 }
 
-/// Drains a fresh HPP session and returns its metrics, pinning the kernel
-/// backend the engine uses.
-sim::Metrics drain_hpp(std::size_t n, std::uint64_t seed,
-                       simd::Backend backend, bool keep_records) {
+/// Drains a fresh session of `n` tags round by round through `policy` and
+/// returns the run, pinning the kernel backend the engine uses.
+/// `keep_records` = true forces the per-poll dispatch (records need
+/// per-poll output); false lets the engine take its clean-round fast path.
+sim::RunResult drain(protocols::RoundPolicy& policy, std::size_t n,
+                     std::uint64_t seed, simd::Backend backend,
+                     bool keep_records) {
   Xoshiro256ss rng(seed);
   const auto pop = tags::TagPopulation::uniform_random(n, rng);
   sim::SessionConfig config;
@@ -190,15 +195,29 @@ sim::Metrics drain_hpp(std::size_t n, std::uint64_t seed,
   fault::RecoveryCoordinator recovery(config.recovery);
   protocols::RoundEngine engine(session, recovery);
   engine.set_hash_backend(backend);
-  protocols::HppRoundPolicy policy{protocols::HppRoundConfig{}};
   engine.run_rounds(active, policy);
-  return session.metrics();
+  EXPECT_EQ(session.metrics().polls, n);
+  return session.finish("drain");
+}
+
+sim::RunResult drain_hpp(std::size_t n, std::uint64_t seed,
+                         simd::Backend backend, bool keep_records) {
+  protocols::HppRoundPolicy policy{protocols::HppRoundConfig{}};
+  return drain(policy, n, seed, backend, keep_records);
+}
+
+sim::RunResult drain_tpp(std::size_t n, std::uint64_t seed,
+                         int index_length_offset, bool keep_records) {
+  protocols::Tpp::Config tpp;
+  tpp.index_length_offset = index_length_offset;
+  protocols::TppRoundPolicy policy(tpp);
+  return drain(policy, n, seed, simd::best_backend(), keep_records);
 }
 
 /// Drains a fresh EHPP session circle by circle (as Ehpp::run does),
 /// pinning the backend of every circle's split and of its rounds.
-sim::Metrics drain_ehpp(std::size_t n, std::uint64_t seed,
-                        simd::Backend backend) {
+sim::RunResult drain_ehpp(std::size_t n, std::uint64_t seed,
+                          simd::Backend backend) {
   Xoshiro256ss rng(seed);
   const auto pop = tags::TagPopulation::uniform_random(n, rng);
   sim::SessionConfig config;
@@ -214,19 +233,16 @@ sim::Metrics drain_ehpp(std::size_t n, std::uint64_t seed,
   while (!active.empty())
     EXPECT_TRUE(protocols::run_ehpp_circle(session, engine, active, ehpp,
                                            subset_target));
-  return session.metrics();
+  return session.finish("EHPP");
 }
 
-void expect_identical(const sim::Metrics& x, const sim::Metrics& y) {
-  EXPECT_EQ(x.polls, y.polls);
-  EXPECT_EQ(x.rounds, y.rounds);
-  EXPECT_EQ(x.vector_bits, y.vector_bits);
-  EXPECT_EQ(x.command_bits, y.command_bits);
-  EXPECT_EQ(x.tag_bits, y.tag_bits);
-  EXPECT_EQ(x.slots_wasted, y.slots_wasted);
-  // Bit-exact, not approximately equal: the batched fast path must replay
-  // the per-poll floating-point accumulation in the same order.
-  EXPECT_EQ(x.time_us, y.time_us);
+/// Everything the batched fold and the kernels could disturb: every
+/// Metrics field (bit-exact) and the channel's slot statistics.
+void expect_identical(const sim::RunResult& x, const sim::RunResult& y) {
+  expect_same_metrics(x.metrics, y.metrics);
+  EXPECT_EQ(x.channel.empty_slots, y.channel.empty_slots);
+  EXPECT_EQ(x.channel.singleton_slots, y.channel.singleton_slots);
+  EXPECT_EQ(x.channel.collision_slots, y.channel.collision_slots);
 }
 
 TEST(SimdEngine, BackendIsInvisibleInMetricsAtLaneTails) {
@@ -243,22 +259,75 @@ TEST(SimdEngine, EhppSplitBackendIsInvisibleInMetrics) {
   for (const std::size_t n : {std::size_t{1000}, std::size_t{5000}}) {
     const auto scalar = drain_ehpp(n, 4242 + n, simd::Backend::kScalar);
     const auto vec = drain_ehpp(n, 4242 + n, simd::best_backend());
-    EXPECT_GT(vec.circles, 1u);
-    EXPECT_EQ(scalar.circles, vec.circles);
+    EXPECT_GT(vec.metrics.circles, 1u);
     expect_identical(scalar, vec);
   }
 }
 
 TEST(SimdEngine, CleanFastPathIsInvisibleInMetrics) {
-  // keep_records=true forces the per-poll dispatch (records need per-poll
-  // output); keep_records=false takes the batched clean-round fast path.
-  // Everything the two paths account — polls, bits, wall-clock — must be
-  // bit-identical.
+  // HPP's batched rounds fold n copies of h; everything the two paths
+  // account — polls, bits, clock, phases, slots — must be bit-identical.
   for (const std::size_t n : lane_tail_sizes()) {
+    SCOPED_TRACE("HPP n=" + std::to_string(n));
     const auto slow = drain_hpp(n, 90210 + n, simd::best_backend(), true);
     const auto fast = drain_hpp(n, 90210 + n, simd::best_backend(), false);
     expect_identical(slow, fast);
   }
+}
+
+TEST(SimdEngine, TppCleanFastPathIsInvisibleInMetrics) {
+  // TPP's batched rounds fold one tree-segment length per leaf, read off
+  // the histogram. n = 1 is the h = 0 round (one zero-bit poll), n = 2 the
+  // smallest real tree; the index-length offsets move the load factor off
+  // the Eq. (15) optimum in both directions.
+  std::vector<std::size_t> sizes = lane_tail_sizes();
+  sizes.push_back(2);
+  for (const int offset : {0, -2, 2}) {
+    for (const std::size_t n : sizes) {
+      SCOPED_TRACE("TPP offset=" + std::to_string(offset) +
+                   " n=" + std::to_string(n));
+      const auto slow = drain_tpp(n, 60606 + n, offset, true);
+      const auto fast = drain_tpp(n, 60606 + n, offset, false);
+      expect_identical(slow, fast);
+      if (n == 1 && offset <= 0) {
+        EXPECT_EQ(fast.metrics.vector_bits, 0u);  // h = 0
+      }
+    }
+  }
+}
+
+TEST(SimdEngine, CleanTppRoundSkipsPerPollBookkeeping) {
+  // The fast path neither fills the occupant/done tables nor parks polls,
+  // and it records the same leaves the per-poll tree dispatch polls.
+  Xoshiro256ss rng(777);
+  const auto pop = tags::TagPopulation::uniform_random(4096, rng);
+  sim::SessionConfig config;
+  config.keep_records = false;
+  sim::Session session(pop, config);
+  ASSERT_TRUE(session.clean_poll_fast_path());
+  tags::TagSoA active = protocols::make_devices(session);
+  fault::RecoveryCoordinator recovery(config.recovery);
+  protocols::RoundEngine engine(session, recovery);
+  protocols::TppRoundPolicy policy(protocols::Tpp::Config{});
+  engine.run_rounds(active, policy);
+  EXPECT_EQ(session.metrics().polls, pop.size());
+  EXPECT_TRUE(engine.occupant().empty());
+  EXPECT_TRUE(engine.done().empty());
+  EXPECT_TRUE(engine.pending().empty());
+}
+
+TEST(SimdEngine, TppTreeCrossCheckKeepsPerPollDispatch) {
+  // A run that asks for the per-round trie cross-check opts out of the
+  // fast path, and its output is still the fast path's.
+  protocols::Tpp::Config checked;
+  checked.cross_check_tree = true;
+  EXPECT_FALSE(protocols::TppRoundPolicy(checked).batchable_dispatch());
+  EXPECT_TRUE(
+      protocols::TppRoundPolicy(protocols::Tpp::Config{}).batchable_dispatch());
+  protocols::TppRoundPolicy policy(checked);
+  const auto checked_run =
+      drain(policy, 3000, 5150, simd::best_backend(), false);
+  expect_identical(checked_run, drain_tpp(3000, 5150, 0, false));
 }
 
 }  // namespace
