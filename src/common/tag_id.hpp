@@ -76,8 +76,9 @@ struct TagIdHash final {
 /// Ordered on purpose: iteration order is the ID order, so anything derived
 /// from walking the set (reports, metrics, RNG-consuming loops) is
 /// deterministic by construction — the property tools/rfidlint's
-/// unordered-container rules enforce. Hash sets remain fine for
-/// membership-only scratch that is never iterated.
+/// unordered-container rules enforce. For membership checks against a tag
+/// vector (population uniqueness, run verification), use tags::IdIndex: a
+/// flat table of positions into the vector, with no iteration API.
 using TagIdSet = std::set<TagId>;
 
 }  // namespace rfid

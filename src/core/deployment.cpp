@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.hpp"
@@ -17,6 +16,7 @@
 #include "protocols/hash_polling.hpp"
 #include "protocols/round_engine.hpp"
 #include "protocols/tree_polling.hpp"
+#include "tags/id_index.hpp"
 #include "tags/soa.hpp"
 
 namespace rfid::core {
@@ -665,28 +665,29 @@ DeploymentReport Deployment::finish() {
   // Delivered-or-listed verification. Record-free sweeps verify by exact
   // counts (every tag is owned by exactly one reader at any time and
   // leaves the simulation through exactly one of the three outcomes);
-  // record-keeping sweeps additionally verify the ID sets cover the
-  // population exactly once. Membership-only hash set — never iterated
-  // (rfidlint's unordered-iteration rule).
+  // record-keeping sweeps additionally verify the ID lists cover the
+  // population exactly once: every listed ID is a population tag, and no
+  // population position is listed twice.
   const std::size_t population_n = population_->size();
   bool exact = report_.delivered + report_.missing_ids.size() +
                    report_.undelivered_ids.size() ==
                population_n;
   if (config_.session.keep_records) {
     exact = exact && report_.records.size() == report_.delivered;
-    std::unordered_set<TagId, TagIdHash> seen;
-    seen.reserve(population_n);
-    bool duplicates = false;
+    const std::span<const tags::Tag> tags = population_->tags();
+    tags::IdIndex by_id(population_n);
+    for (std::size_t i = 0; i < population_n; ++i) by_id.insert(tags, i);
+    std::vector<std::uint8_t> seen(population_n, 0);
+    bool once = true;
+    const auto account = [&](const TagId& id) {
+      const std::size_t pos = by_id.find(tags, id);
+      once = once && pos != tags::IdIndex::kAbsent && seen[pos]++ == 0;
+    };
     for (const sim::CollectedRecord& record : report_.records)
-      duplicates |= !seen.insert(record.id).second;
-    for (const TagId& id : report_.missing_ids)
-      duplicates |= !seen.insert(id).second;
-    for (const TagId& id : report_.undelivered_ids)
-      duplicates |= !seen.insert(id).second;
-    bool covered = seen.size() == population_n;
-    for (const tags::Tag& tag : *population_)
-      covered &= seen.contains(tag.id());
-    exact = exact && covered && !duplicates;
+      account(record.id);
+    for (const TagId& id : report_.missing_ids) account(id);
+    for (const TagId& id : report_.undelivered_ids) account(id);
+    exact = exact && once;
   }
   report_.verified = exact;
   return std::move(report_);

@@ -1,6 +1,9 @@
 #include "sim/verify.hpp"
 
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
+
+#include "tags/id_index.hpp"
 
 namespace rfid::sim {
 
@@ -28,15 +31,16 @@ VerifyReport verify_complete_collection(const tags::TagPopulation& population,
                 " undelivered) out of " + std::to_string(population.size()));
   }
 
-  std::unordered_map<TagId, const tags::Tag*, TagIdHash> by_id;
-  by_id.reserve(population.size());
-  for (const tags::Tag& tag : population) by_id.emplace(tag.id(), &tag);
-
-  std::unordered_map<TagId, std::size_t, TagIdHash> seen;
-  seen.reserve(accounted);
+  // ID -> population position, plus one "accounted for" flag per position.
+  const std::span<const tags::Tag> tags = population.tags();
+  tags::IdIndex by_id(tags.size());
+  for (std::size_t i = 0; i < tags.size(); ++i) by_id.insert(tags, i);
+  std::vector<std::uint8_t> seen(tags.size(), 0);
   const auto account_once = [&](const TagId& id, const char* what) {
-    if (!by_id.contains(id)) return what + (" of unknown tag " + id.to_hex());
-    if (++seen[id] > 1)
+    const std::size_t pos = by_id.find(tags, id);
+    if (pos == tags::IdIndex::kAbsent)
+      return what + (" of unknown tag " + id.to_hex());
+    if (seen[pos]++ != 0)
       return what + (" of tag " + id.to_hex() + " accounted for twice");
     return std::string();
   };
@@ -45,7 +49,7 @@ VerifyReport verify_complete_collection(const tags::TagPopulation& population,
     if (auto msg = account_once(record.id, "collection"); !msg.empty())
       return fail(std::move(msg));
     const BitVec expected =
-        by_id.at(record.id)->reply_payload(record.payload.size());
+        tags[by_id.find(tags, record.id)].reply_payload(record.payload.size());
     if (!(expected == record.payload))
       return fail("payload mismatch for tag " + record.id.to_hex());
   }

@@ -1,8 +1,7 @@
 #include "tags/population.hpp"
 
-#include <unordered_set>
-
 #include "common/error.hpp"
+#include "tags/id_index.hpp"
 
 namespace rfid::tags {
 
@@ -21,24 +20,27 @@ TagId random_id(Xoshiro256ss& id_rng) {
 }  // namespace
 
 TagPopulation::TagPopulation(std::vector<Tag> tags) : tags_(std::move(tags)) {
-  std::unordered_set<TagId, TagIdHash> seen;
-  seen.reserve(tags_.size());
-  for (const Tag& tag : tags_) {
-    const bool inserted = seen.insert(tag.id()).second;
-    RFID_EXPECTS(inserted && "duplicate tag ID in population");
+  IdIndex index(tags_.size());
+  for (std::size_t i = 0; i < tags_.size(); ++i) {
+    const bool unique = index.insert(tags_, i) == IdIndex::kAbsent;
+    RFID_EXPECTS(unique && "duplicate tag ID in population");
   }
 }
 
-TagPopulation TagPopulation::uniform_random(std::size_t n, Xoshiro256ss& id_rng) {
-  std::unordered_set<TagId, TagIdHash> seen;
-  seen.reserve(n);
+TagPopulation::TagPopulation(Distinct, std::vector<Tag> tags)
+    : tags_(std::move(tags)) {}
+
+TagPopulation TagPopulation::uniform_random(std::size_t n,
+                                            Xoshiro256ss& id_rng) {
   std::vector<Tag> tags;
   tags.reserve(n);
+  IdIndex index(n);
   while (tags.size() < n) {
-    const TagId id = random_id(id_rng);
-    if (seen.insert(id).second) tags.emplace_back(id);
+    tags.emplace_back(random_id(id_rng));
+    if (index.insert(tags, tags.size() - 1) != IdIndex::kAbsent)
+      tags.pop_back();  // a repeat: redraw
   }
-  return TagPopulation(std::move(tags));
+  return TagPopulation(Distinct{}, std::move(tags));
 }
 
 TagPopulation TagPopulation::uniform_random_sharded(std::size_t n,
@@ -47,33 +49,23 @@ TagPopulation TagPopulation::uniform_random_sharded(std::size_t n,
   RFID_EXPECTS(shards >= 1);
   std::vector<Tag> tags;
   tags.reserve(n);
-  for (std::size_t shard = 0; shard < shards; ++shard)
-    uniform_random_shard_into(tags, n, seed, shard, shards);
-  // Cross-shard collisions are possible in principle (each shard only
-  // dedups locally) and vanishingly rare with 96-bit IDs; the population
-  // constructor still catches them loudly.
-  return TagPopulation(std::move(tags));
-}
-
-void TagPopulation::uniform_random_shard_into(std::vector<Tag>& out,
-                                              std::size_t n, std::uint64_t seed,
-                                              std::size_t shard,
-                                              std::size_t shards) {
-  RFID_EXPECTS(shards >= 1 && shard < shards);
-  const std::size_t first = shard * n / shards;
-  const std::size_t last = (shard + 1) * n / shards;
-  Xoshiro256ss shard_id_rng(derive_seed(seed, shard));
-  std::unordered_set<TagId, TagIdHash> seen;
-  seen.reserve(last - first);
-  out.reserve(out.size() + (last - first));
-  std::size_t made = 0;
-  while (made < last - first) {
-    const TagId id = random_id(shard_id_rng);
-    if (seen.insert(id).second) {
-      out.emplace_back(id);
-      ++made;
+  IdIndex index(n);
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    const std::size_t first = shard * n / shards;
+    const std::size_t last = (shard + 1) * n / shards;
+    Xoshiro256ss shard_id_rng(derive_seed(seed, shard));
+    while (tags.size() < last) {
+      tags.emplace_back(random_id(shard_id_rng));
+      const std::size_t earlier = index.insert(tags, tags.size() - 1);
+      if (earlier == IdIndex::kAbsent) continue;
+      // A repeat within this shard is redrawn. Redrawing a repeat of an
+      // earlier shard's ID would make this slice depend on other shards,
+      // not on (seed, shard) alone, so that repeat is refused.
+      RFID_EXPECTS(earlier >= first && "duplicate tag ID across shards");
+      tags.pop_back();
     }
   }
+  return TagPopulation(Distinct{}, std::move(tags));
 }
 
 TagPopulation TagPopulation::sequential(std::size_t n, std::uint64_t first) {
@@ -86,7 +78,7 @@ TagPopulation TagPopulation::sequential(std::size_t n, std::uint64_t first) {
     id.words[2] = static_cast<std::uint32_t>(value);
     tags.emplace_back(id);
   }
-  return TagPopulation(std::move(tags));
+  return TagPopulation(Distinct{}, std::move(tags));
 }
 
 TagPopulation TagPopulation::prefix_clustered(std::size_t n,
@@ -101,18 +93,19 @@ TagPopulation TagPopulation::prefix_clustered(std::size_t n,
   for (std::size_t c = 0; c < categories; ++c)
     prefixes.push_back(random_id(id_rng));
 
-  std::unordered_set<TagId, TagIdHash> seen;
-  seen.reserve(n);
   std::vector<Tag> tags;
   tags.reserve(n);
+  IdIndex index(n);
   while (tags.size() < n) {
     const std::size_t category = tags.size() % categories;
     TagId id = random_id(id_rng);
     for (std::size_t b = 0; b < prefix_bits; ++b)
       id.set_bit(b, prefixes[category].bit(b));
-    if (seen.insert(id).second) tags.emplace_back(id);
+    tags.emplace_back(id);
+    if (index.insert(tags, tags.size() - 1) != IdIndex::kAbsent)
+      tags.pop_back();  // a repeat: redraw
   }
-  return TagPopulation(std::move(tags));
+  return TagPopulation(Distinct{}, std::move(tags));
 }
 
 TagPopulation TagPopulation::with_random_payloads(std::size_t bits,
@@ -125,7 +118,7 @@ TagPopulation TagPopulation::with_random_payloads(std::size_t bits,
       payload.push_back(id_rng.bernoulli(0.5));
     tags.emplace_back(tag.id(), std::move(payload));
   }
-  return TagPopulation(std::move(tags));
+  return TagPopulation(Distinct{}, std::move(tags));
 }
 
 }  // namespace rfid::tags

@@ -229,5 +229,20 @@ TEST(Verify, DetectsPayloadCorruption) {
   EXPECT_FALSE(verify.ok);
 }
 
+TEST(Verify, DetectsUnknownTag) {
+  const auto pop = two_tags();
+  Session session(pop, SessionConfig{});
+  for (const Tag& tag : pop) {
+    const Tag* responder = &tag;
+    (void)session.air().poll({&responder, 1}, &tag, 2);
+  }
+  auto result = session.finish("x");
+  result.records[1].id = TagId::from_hex("00000000000000000000beef");
+  const auto verify = sim::verify_complete_collection(pop, result);
+  EXPECT_FALSE(verify.ok);
+  EXPECT_NE(verify.message.find("unknown tag"), std::string::npos)
+      << verify.message;
+}
+
 }  // namespace
 }  // namespace rfid
