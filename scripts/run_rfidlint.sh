@@ -45,23 +45,6 @@ for fixture in "$fixture_dir"/*.cpp; do
         status=1
       fi
       ;;
-    legacy_pragma.cpp)
-      # Old `detlint:` spelling still suppresses (exit 0) but must keep
-      # earning its deprecation warning.
-      if ! out="$("$rfidlint" --no-layers "$fixture")"; then
-        echo "run_rfidlint: self-check failed — $name should pass with a" \
-          "warning, not an error" >&2
-        status=1
-      fi
-      case "${out:-}" in
-        *legacy-pragma*) ;;
-        *)
-          echo "run_rfidlint: self-check failed — $name no longer warns" \
-            "about the deprecated detlint: prefix" >&2
-          status=1
-          ;;
-      esac
-      ;;
     *)
       if "$rfidlint" --no-layers "$fixture" > /dev/null; then
         echo "run_rfidlint: self-check failed — $name no longer trips" \

@@ -74,16 +74,6 @@ TEST(Rfidlint, MalformedPragmasAreFindingsAndDoNotSuppress) {
                                                      {"banned-rng", 17}}));
 }
 
-TEST(Rfidlint, LegacyPrefixSuppressesWithWarning) {
-  const auto findings = rfidlint::lint_file(fixture("legacy_pragma.cpp"));
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "legacy-pragma");
-  EXPECT_EQ(findings[0].line, 10u);
-  EXPECT_EQ(findings[0].severity, rfidlint::Severity::kWarning);
-  // The warning alone must not fail a run.
-  EXPECT_FALSE(rfidlint::has_errors(findings));
-}
-
 // --- hotpath-alloc analyzer -------------------------------------------------
 
 TEST(Rfidlint, HotpathCleanFixturePasses) {
@@ -237,10 +227,16 @@ TEST(Rfidlint, HotpathMarkerWithoutBlockIsBadPragma) {
 }
 
 TEST(Rfidlint, RegionMarkerNeedsRfidlintSpelling) {
+  // Only the rfidlint: prefix makes a directive. The old detlint: spelling
+  // is plain comment text: it neither marks a region nor suppresses.
   const auto findings = rfidlint::lint_source(
-      "t.cpp", "// detlint: hotpath(engine)\nvoid f() { g(); }\n");
+      "t.cpp",
+      "// detlint: hotpath(engine)\n"
+      "void f() { g(); }\n"
+      "int a = std::rand();  // detlint: allow(banned-rng) — old spelling\n");
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "bad-pragma");
+  EXPECT_EQ(findings[0].rule, "banned-rng");
+  EXPECT_EQ(findings[0].line, 3u);
 }
 
 // --- lint_source edge cases -------------------------------------------------
@@ -300,7 +296,7 @@ TEST(Rfidlint, PragmaForOneRuleDoesNotSuppressAnother) {
 TEST(Rfidlint, RuleIdsAreStable) {
   const std::vector<std::string> expected{
       "wall-clock",      "banned-rng",       "unordered-iteration",
-      "unnamed-rng-stream", "bad-pragma",    "legacy-pragma",
+      "unnamed-rng-stream", "bad-pragma",
       "layer-violation", "undeclared-layer", "layer-spec",
       "hotpath-alloc",   "conditional-draw", "unphased-charge",
       "raw-phase-mutation"};
@@ -334,7 +330,7 @@ TEST(Rfidlint, UnreadableFileIsAnIoError) {
 
 TEST(Rfidlint, CollectSourcesIsSortedAndComplete) {
   const auto files = rfidlint::collect_sources(RFIDLINT_FIXTURE_DIR);
-  ASSERT_EQ(files.size(), 20u);
+  ASSERT_EQ(files.size(), 19u);
   EXPECT_TRUE(std::is_sorted(files.begin(), files.end()));
 }
 

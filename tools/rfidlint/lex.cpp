@@ -129,11 +129,10 @@ void trim(std::string& s) {
   while (!s.empty() && s.back() == ' ') s.pop_back();
 }
 
-/// Parses one directive starting right after its `<prefix>:` marker.
+/// Parses one directive starting right after its `rfidlint:` marker.
 [[nodiscard]] Directive parse_one(std::string_view comment, std::size_t pos,
-                                  bool legacy, std::size_t line) {
+                                  std::size_t line) {
   Directive directive;
-  directive.legacy = legacy;
   directive.line = line;
 
   // Directive verb: a run of word characters and hyphens.
@@ -149,11 +148,6 @@ void trim(std::string& s) {
     directive.problem = verb.empty()
                             ? "missing directive verb"
                             : "unknown directive '" + verb + "'";
-    return directive;
-  }
-  if (legacy && is_region) {
-    directive.problem =
-        "region directive '" + verb + "' needs the rfidlint: spelling";
     return directive;
   }
 
@@ -199,16 +193,10 @@ std::vector<Directive> parse_directives(std::string_view comment,
   // A directive is anchored: the prefix must be the first non-space
   // content of the comment. Prose that merely *mentions* a pragma
   // spelling mid-sentence (fixture headers, docs) is not a directive.
+  constexpr std::string_view kPrefix = "rfidlint:";
   const std::size_t start = skip_spaces(comment, 0);
-  for (const std::string_view prefix :
-       {std::string_view("rfidlint:"), std::string_view("detlint:")}) {
-    if (comment.substr(start, std::min(prefix.size(),
-                                       comment.size() - start)) != prefix)
-      continue;
-    directives.push_back(parse_one(comment, start + prefix.size(),
-                                   /*legacy=*/prefix == "detlint:", line));
-    break;
-  }
+  if (comment.substr(start, kPrefix.size()) == kPrefix)
+    directives.push_back(parse_one(comment, start + kPrefix.size(), line));
   return directives;
 }
 
