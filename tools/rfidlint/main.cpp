@@ -14,8 +14,7 @@
 //
 // The layer spec defaults to <root>/tools/rfidlint/layers.spec; parse
 // errors are reported as [layer-spec] findings and fail the run.
-// Exit status: 0 when clean (warnings allowed), 1 when any error-severity
-// finding, 2 on usage error.
+// Exit status: 0 when clean, 1 on any finding, 2 on usage error.
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -143,21 +142,14 @@ int main(int argc, char** argv) {
   }
 
   std::size_t errors = 0;
-  std::size_t warnings = 0;
   for (const std::string& file : files) {
     const std::string rel = relative_to(file, root);
     for (const rfidlint::Finding& finding :
          rfidlint::lint_file(file, options, rel)) {
       std::cout << rfidlint::to_string(finding) << "\n";
-      if (finding.severity == rfidlint::Severity::kError)
-        ++errors;
-      else
-        ++warnings;
+      ++errors;
     }
   }
-  if (warnings > 0)
-    std::cout << "rfidlint: " << warnings << " warning"
-              << (warnings == 1 ? "" : "s") << "\n";
   if (errors > 0) {
     std::cout << "rfidlint: " << errors << " finding"
               << (errors == 1 ? "" : "s") << " in " << files.size()
