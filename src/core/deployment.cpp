@@ -201,13 +201,14 @@ namespace detail {
 /// One reader's runtime. The session stack is rebuilt on every crash or
 /// reboot; the active tag set survives restarts and moves wholesale on
 /// handoff (tag pointers stay valid — every session is built over the one
-/// shared population). The parallel-phase output slots at the bottom are
-/// written only by this reader's shard task and consumed by the serial
-/// merge, which is what keeps pooled runs byte-identical to serial ones.
+/// shared population). A round's engine is built on the stack over the
+/// shard's RoundScratch, so nothing here holds the engine's buffers. The
+/// parallel-phase output slots at the bottom are written only by this
+/// reader's shard task and consumed by the serial merge, which is what
+/// keeps pooled runs byte-identical to serial ones.
 struct ReaderRuntime final {
   std::unique_ptr<sim::Session> session;
   std::unique_ptr<protocols::RoundPolicy> policy;
-  std::unique_ptr<protocols::RoundEngine> engine;
   fault::RecoveryCoordinator recovery;
   tags::TagSoA active;
   fault::FaultInjector faults;  ///< reader-fault stream only
@@ -270,10 +271,12 @@ Deployment::Deployment(const tags::TagPopulation& population,
         derive_seed(derive_seed(config_.session.seed, kReaderFaultSalt), r));
   }
 
-  // Shard boundaries: contiguous reader ranges, one pool task each.
+  // Shard boundaries: contiguous reader ranges, one pool task each, each
+  // with the round scratch its readers take turns on.
   shard_begin_.resize(shards_ + 1);
   for (std::size_t s = 0; s <= shards_; ++s)
     shard_begin_[s] = s * config_.readers / shards_;
+  scratch_.resize(shards_);
 
   // Initial placement: home zone by hash partition, then the ownership
   // rule for tags that overlap into the neighbor zone. Sharded over the
@@ -322,13 +325,10 @@ void Deployment::build_session(std::size_t reader,
   rt.session =
       std::make_unique<sim::Session>(*population_, std::move(session_config));
   rt.policy = make_deployment_policy(config_.kind);
-  rt.engine =
-      std::make_unique<protocols::RoundEngine>(*rt.session, rt.recovery);
   ++rt.incarnations;
 }
 
-void Deployment::fold_session(std::size_t reader, detail::ReaderRuntime& rt) {
-  (void)reader;
+void Deployment::fold_session(detail::ReaderRuntime& rt) {
   if (rt.session == nullptr) return;
   sim::RunResult result = rt.session->finish(protocol_name_);
   rt.folded.merge(result.metrics);
@@ -339,12 +339,12 @@ void Deployment::fold_session(std::size_t reader, detail::ReaderRuntime& rt) {
   for (const TagId& id : result.undelivered_ids)
     report_.undelivered_ids.push_back(id);
   rt.session.reset();
-  rt.engine.reset();
   rt.policy.reset();
 }
 
 void Deployment::run_reader_parallel(std::size_t reader,
-                                     detail::ReaderRuntime& rt) {
+                                     detail::ReaderRuntime& rt,
+                                     protocols::RoundScratch& scratch) {
   rt.fault_event.reset();
   rt.round_ran = false;
   rt.round_completed = false;
@@ -383,7 +383,8 @@ void Deployment::run_reader_parallel(std::size_t reader,
   const double time_before = live.time_us;
   const std::uint64_t undelivered_before = live.undelivered;
   const std::uint64_t missing_before = live.missing;
-  rt.round_completed = rt.engine->run_round(rt.active, *rt.policy);
+  protocols::RoundEngine engine(*rt.session, rt.recovery, scratch);
+  rt.round_completed = engine.run_round(rt.active, *rt.policy);
   rt.round_ran = true;
   rt.round_time_us = live.time_us - time_before;
   // Erased = delivered + abandoned + detected-missing; subtract the loud
@@ -459,12 +460,12 @@ void Deployment::apply_fault_event(std::size_t reader,
                                    detail::ReaderRuntime& rt) {
   switch (rt.fault_event->kind) {
     case fault::ReaderFaultKind::kCrash:
-      fold_session(reader, rt);
+      fold_session(rt);
       supervisor_.note_crash(reader, tick_);
       hand_off(reader);
       break;
     case fault::ReaderFaultKind::kRestart:
-      fold_session(reader, rt);
+      fold_session(rt);
       supervisor_.note_spontaneous_restart(reader, tick_);
       build_session(reader, rt);
       break;
@@ -552,7 +553,7 @@ bool Deployment::tick() {
       // Deadline-downed readers (stall escalations) still hold their dead
       // incarnation's session — fold it so its delivered records survive
       // the reboot. Crash paths already folded; this is then a no-op.
-      fold_session(r, rt);
+      fold_session(rt);
       build_session(r, rt);
       rt.rebuilt_this_tick = true;
     }
@@ -563,20 +564,19 @@ bool Deployment::tick() {
   }
 
   // Parallel phase: every shard runs its readers' fault draws, churn scans
-  // and scheduled rounds against reader-local state only.
+  // and scheduled rounds against reader-local state, one reader after
+  // another on the shard's round scratch. Serial ticks run the same
+  // shard loop inline.
+  const auto run_shard = [this](std::size_t s) {
+    for (std::size_t r = shard_begin_[s]; r < shard_begin_[s + 1]; ++r)
+      run_reader_parallel(r, runtime_[r], scratch_[s]);
+  };
   if (pool_ != nullptr && shards_ > 1) {
-    for (std::size_t s = 0; s < shards_; ++s) {
-      const std::size_t first = shard_begin_[s];
-      const std::size_t last = shard_begin_[s + 1];
-      pool_->submit([this, first, last] {
-        for (std::size_t r = first; r < last; ++r)
-          run_reader_parallel(r, runtime_[r]);
-      });
-    }
+    for (std::size_t s = 0; s < shards_; ++s)
+      pool_->submit([run_shard, s] { run_shard(s); });
     pool_->wait_idle();
   } else {
-    for (std::size_t r = 0; r < config_.readers; ++r)
-      run_reader_parallel(r, runtime_[r]);
+    for (std::size_t s = 0; s < shards_; ++s) run_shard(s);
   }
 
   // Serial merge, reader index order: supervision verdicts, churn
@@ -636,8 +636,7 @@ DeploymentReport Deployment::finish() {
       report_.undelivered_ids.push_back(rt.active.tag(i)->id());
     rt.active.clear();
   }
-  for (std::size_t r = 0; r < config_.readers; ++r)
-    fold_session(r, runtime_[r]);
+  for (detail::ReaderRuntime& rt : runtime_) fold_session(rt);
 
   report_.ticks = tick_;
   report_.transitions = supervisor_.transitions();

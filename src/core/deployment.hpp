@@ -45,14 +45,16 @@
 //     schedule.
 //
 // Scale & determinism. The tick loop splits into a parallel phase — every
-// execution shard (a contiguous reader range with its own tags::TagSoA
-// columns) runs its scheduled readers' rounds and churn scans, touching
-// only reader-local state — and a serial merge phase that applies
-// supervision, handoffs and report folds in reader index order. All
-// cross-reader mutation is serial and reader-ordered, so a run is
-// byte-identical serial vs RFID_THREADS=N and invariant to the shard
-// count; the fault-free serial tick path performs zero steady-state heap
-// allocations (gated by tests/test_alloc_guard.cpp). A long-running
+// execution shard (a contiguous reader range) runs its scheduled readers'
+// rounds and churn scans one after another, touching only reader-local
+// state and the shard's one protocols::RoundScratch — and a serial merge
+// phase that applies supervision, handoffs and report folds in reader
+// index order. All cross-reader mutation is serial and reader-ordered, so
+// a run is byte-identical serial vs RFID_THREADS=N and invariant to the
+// shard count. Round buffers are per shard, not per reader: a clean
+// serial TPP drain allocates fewer times than it has readers, and its
+// fault-free ticks allocate nothing once the shard's scratch has grown
+// (both gated by tests/test_alloc_guard.cpp). A long-running
 // daemon strings drains into epochs with core::DeploymentEpochs
 // (core/epochs.hpp). See docs/fleet.md and docs/architecture.md
 // ("Deployment simulator").
@@ -71,6 +73,10 @@
 #include "protocols/registry.hpp"
 #include "sim/session.hpp"
 #include "tags/population.hpp"
+
+namespace rfid::protocols {
+struct RoundScratch;
+}  // namespace rfid::protocols
 
 namespace rfid::core {
 
@@ -102,9 +108,10 @@ struct DeploymentConfig final {
   fault::SupervisorConfig supervisor{};
   std::uint32_t handoff_budget = 4;
   std::uint64_t max_ticks = 1u << 20;
-  /// Execution shards (contiguous reader ranges run as one pool task).
-  /// 0 = one shard per pool worker (1 when serial). Results are invariant
-  /// to this knob; it only controls parallel grain.
+  /// Execution shards (contiguous reader ranges run as one pool task, each
+  /// with one round scratch). 0 = one shard per pool worker (1 when
+  /// serial). Results are invariant to this knob; it only controls
+  /// parallel grain and how many round scratches are kept.
   std::size_t shards = 0;
 };
 
@@ -273,9 +280,10 @@ class Deployment final {
  private:
   void apply_fault_event(std::size_t reader, detail::ReaderRuntime& rt);
   void hand_off(std::size_t from);
-  void fold_session(std::size_t reader, detail::ReaderRuntime& rt);
+  void fold_session(detail::ReaderRuntime& rt);
   void build_session(std::size_t reader, detail::ReaderRuntime& rt);
-  void run_reader_parallel(std::size_t reader, detail::ReaderRuntime& rt);
+  void run_reader_parallel(std::size_t reader, detail::ReaderRuntime& rt,
+                           protocols::RoundScratch& scratch);
   void churn_scan(std::size_t reader, detail::ReaderRuntime& rt);
   /// Consumes one unit of the tag's fleet handoff budget; false once spent.
   [[nodiscard]] bool take_handoff(const tags::Tag* tag);
@@ -293,6 +301,9 @@ class Deployment final {
   std::uint64_t rotation_;  ///< max readers per channel (deadline scale)
   std::string protocol_name_;
   PlacementRules rules_;
+  /// Round scratch per execution shard: its readers run one after another
+  /// inside one task, so no two threads ever share a buffer.
+  std::vector<protocols::RoundScratch> scratch_;
   std::vector<detail::ReaderRuntime> runtime_;
   fault::ReaderSupervisor supervisor_;
   /// Churn horizon per population tag (tag_index): the first tick its

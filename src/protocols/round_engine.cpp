@@ -38,28 +38,30 @@ bool RoundEngine::run_round(tags::TagSoA& active, RoundPolicy& policy) {
   // Reader side: bucket the picked indices to find singletons.
   const std::size_t f = static_cast<std::size_t>(pow2(h_));
   const std::size_t n = active.size();
+  std::vector<std::uint32_t>& counts = scratch_.counts;
   // rfidlint: allow(hotpath-alloc) — scratch reaches steady capacity in round 1; test_alloc_guard pins zero steady-state allocs
-  counts_.assign(f, 0);
-  for (std::size_t i = 0; i < n; ++i) ++counts_[active.slot(i)];
+  counts.assign(f, 0);
+  for (std::size_t i = 0; i < n; ++i) ++counts[active.slot(i)];
 
   if (policy.batchable_dispatch() && session_.clean_poll_fast_path()) {
     run_clean_polls(active, init.addressing);
     return true;
   }
 
+  std::vector<std::size_t>& occupant = scratch_.occupant;
   // rfidlint: allow(hotpath-alloc) — scratch reaches steady capacity in round 1; test_alloc_guard pins zero steady-state allocs
-  occupant_.assign(f, 0);
-  for (std::size_t i = 0; i < n; ++i) occupant_[active.slot(i)] = i;
+  occupant.assign(f, 0);
+  for (std::size_t i = 0; i < n; ++i) occupant[active.slot(i)] = i;
 
   // rfidlint: allow(hotpath-alloc) — shrinks with the active set after round 1; test_alloc_guard pins zero steady-state allocs
-  done_.assign(active.size(), 0);
-  pending_.clear();
-  singleton_scratch_.clear();
-  chunk_scratch_.clear();
+  scratch_.done.assign(active.size(), 0);
+  scratch_.pending.clear();
+  scratch_.singletons.clear();
+  scratch_.chunk.clear();
   policy.dispatch(*this, active);
 
   if (recovering()) mop_up(active);
-  active.compact(done_);
+  active.compact(scratch_.done);
   return true;
 }
 
@@ -79,19 +81,20 @@ void RoundEngine::run_clean_polls(tags::TagSoA& active,
   // At most one poll per tag. Reserving for n, not for this round's
   // singletons, keeps later rounds from growing the buffer: the active
   // count only falls during a drain, while the singleton count can rise.
+  std::vector<std::uint8_t>& poll_bits = scratch_.poll_bits;
   // rfidlint: allow(hotpath-alloc) — scratch reaches steady capacity in round 1; test_alloc_guard pins zero steady-state allocs
-  poll_bits_.reserve(n);
+  poll_bits.reserve(n);
   const std::size_t leaves =
       addressing == Addressing::kTreeSegment ? tree_segment_lengths(n) : 0;
-  active.compact_singletons(counts_, hash_backend_);
+  active.compact_singletons(scratch_.counts, hash_backend_);
   const std::size_t singletons = n - active.size();
   if (addressing == Addressing::kTreeSegment) {
     RFID_ENSURES(leaves == singletons);
   } else {
     // rfidlint: allow(hotpath-alloc) — scratch reaches steady capacity in round 1; test_alloc_guard pins zero steady-state allocs
-    poll_bits_.assign(singletons, static_cast<std::uint8_t>(h_));
+    poll_bits.assign(singletons, static_cast<std::uint8_t>(h_));
   }
-  if (singletons > 0) session_.air().clean_singleton_replies(poll_bits_, h_);
+  if (singletons > 0) session_.air().clean_singleton_replies(poll_bits, h_);
 }
 
 // rfidlint: hotpath(round-engine-tree-segments)
@@ -101,21 +104,23 @@ std::size_t RoundEngine::tree_segment_lengths(std::size_t n) {
   // of the buckets are leaves, at random: every bucket stores its index at
   // the next free slot and only a leaf advances it, so n + 1 slots suffice.
   // rfidlint: allow(hotpath-alloc) — scratch reaches steady capacity in round 1; test_alloc_guard pins zero steady-state allocs
-  singleton_scratch_.resize(n + 1);
-  std::uint32_t* const leaf = singleton_scratch_.data();
-  const auto f = static_cast<std::uint32_t>(counts_.size());
+  scratch_.singletons.resize(n + 1);
+  std::uint32_t* const leaf = scratch_.singletons.data();
+  const std::vector<std::uint32_t>& counts = scratch_.counts;
+  const auto f = static_cast<std::uint32_t>(counts.size());
   std::size_t leaves = 0;
   for (std::uint32_t idx = 0; idx < f; ++idx) {
     leaf[leaves] = idx;
-    leaves += counts_[idx] == 1 ? 1u : 0u;
+    leaves += counts[idx] == 1 ? 1u : 0u;
   }
 
   // Pass 2 — each leaf's segment length, checked against the h-bit
   // register A every listening tag maintains (see TppRoundPolicy::
   // dispatch): the segment overwrites the low k bits of A, which holds the
   // previous leaf, and must complete exactly this leaf.
+  std::vector<std::uint8_t>& poll_bits = scratch_.poll_bits;
   // rfidlint: allow(hotpath-alloc) — scratch reaches steady capacity in round 1; test_alloc_guard pins zero steady-state allocs
-  poll_bits_.resize(leaves);
+  poll_bits.resize(leaves);
   std::uint32_t previous = 0;
   bool register_ok = true;
   for (std::size_t j = 0; j < leaves; ++j) {
@@ -123,7 +128,7 @@ std::size_t RoundEngine::tree_segment_lengths(std::size_t n) {
     const std::uint32_t low = (1u << k) - 1u;
     const std::uint32_t reg = (previous & ~low & (f - 1)) | (leaf[j] & low);
     register_ok &= reg == leaf[j];
-    poll_bits_[j] = static_cast<std::uint8_t>(k);
+    poll_bits[j] = static_cast<std::uint8_t>(k);
     previous = leaf[j];
   }
   RFID_ENSURES(register_ok);
@@ -139,25 +144,28 @@ void RoundEngine::dispatch_singletons_ascending(tags::TagSoA& active) {
   // framed vector that exhausts its retransmission budget abandons the tag
   // loudly when no recovery policy is there to keep retrying.
   const bool recovering = this->recovering();
-  const std::size_t f = counts_.size();
+  const std::vector<std::uint32_t>& counts = scratch_.counts;
+  const std::vector<std::size_t>& occupant = scratch_.occupant;
+  std::vector<char>& done = scratch_.done;
+  const std::size_t f = counts.size();
   for (std::size_t idx = 0; idx < f; ++idx) {
-    if (counts_[idx] != 1) continue;
-    const std::size_t i = occupant_[idx];
+    if (counts[idx] != 1) continue;
+    const std::size_t i = occupant[idx];
     const tags::Tag* tag = active.tag(i);
     const bool here = session_.is_present(tag->id());
     const tags::Tag* responder = tag;
     const tags::Tag* read =
         session_.air().poll({&responder, here ? 1u : 0u}, tag, h_);
     if (read != nullptr)
-      done_[i] = 1;
+      done[i] = 1;
     else if (recovering)
-      pending_.push_back(i);
+      scratch_.pending.push_back(i);
     else if (session_.air().last_poll_failure() ==
              sim::PollFailure::kDownlinkExhausted) {
       session_.mark_undelivered(tag->id());
-      done_[i] = 1;
+      done[i] = 1;
     } else
-      done_[i] = here ? 0 : 1;
+      done[i] = here ? 0 : 1;
   }
 }
 
@@ -166,7 +174,7 @@ void RoundEngine::mop_up(tags::TagSoA& active) {
   // encodings (TPP) only address tags in sorted-index order, which a retry
   // breaks, so the reader falls back to absolute addressing.
   recovery_.mop_up(
-      session_, done_, pending_,
+      session_, scratch_.done, scratch_.pending,
       [&](std::size_t i) { return active.tag(i)->id(); },
       [&](std::size_t i) {
         const tags::Tag* tag = active.tag(i);

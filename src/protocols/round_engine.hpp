@@ -9,8 +9,9 @@
 // variation is expressed as a RoundPolicy — how <h, seed> are chosen and
 // broadcast, and how the singleton set is dispatched (ascending singleton
 // polls for HPP/EHPP, the differential polling tree for TPP) — while the
-// engine owns the skeleton and all the scratch buffers, which are reused
-// across rounds so steady-state rounds allocate nothing.
+// engine owns the skeleton. Its round buffers live in a RoundScratch that
+// every round overwrites, so steady-state rounds allocate nothing and
+// engines that run one after another can share one scratch.
 //
 // The active population lives in a structure-of-arrays view (tags::TagSoA)
 // so the tag-side index pick runs as one batched kernel over contiguous ID
@@ -26,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -94,14 +96,49 @@ class RoundPolicy {
   }
 };
 
+/// The round-scoped buffers of RoundEngine. A round sets each buffer
+/// through assign/clear/resize before it reads it, so nothing carries from
+/// one round to the next (only `subset` lives across rounds, for the one
+/// EHPP circle that drains it). Engines that run rounds one after another
+/// — core::Deployment's readers within one execution shard — can therefore
+/// share one scratch, whose capacity peaks at the largest round any of
+/// them ran. Two engines must never run rounds on one scratch at once.
+struct RoundScratch final {
+  /// Per-index pick counts (size 2^h), every round.
+  std::vector<std::uint32_t> counts;
+  /// The per-poll dispatch's bookkeeping: bucket occupants, done flags and
+  /// the device indices parked for the recovery mop-up.
+  std::vector<std::size_t> occupant;
+  std::vector<char> done;
+  std::vector<std::size_t> pending;
+  /// Singleton indices in ascending order (TPP's per-poll tree build, the
+  /// engine's clean TPP walk).
+  std::vector<std::uint32_t> singletons;
+  /// TPP's framed tree chunks.
+  std::vector<std::size_t> chunk;
+  /// Per-poll vector lengths of a clean round, in dispatch order.
+  std::vector<std::uint8_t> poll_bits;
+  /// EHPP's circle members: run_ehpp_circle splits into it and drains it.
+  tags::TagSoA subset;
+};
+
 class RoundEngine final {
  public:
-  /// Both references are borrowed and must outlive the engine. One engine
-  /// instance spans a whole protocol run so its scratch capacity is paid
-  /// once (in the first round) and reused thereafter.
+  /// Both references are borrowed and must outlive the engine. The engine
+  /// owns its scratch, so one instance spanning a whole protocol run pays
+  /// the scratch capacity once (in the first round) and reuses it.
   RoundEngine(sim::Session& session,
               fault::RecoveryCoordinator& recovery) noexcept
-      : session_(session), recovery_(recovery) {}
+      : session_(session), recovery_(recovery), scratch_(owned_.emplace()) {}
+  /// Runs its rounds on the borrowed `scratch`, which must outlive the
+  /// engine and serve no other engine while this one runs a round.
+  RoundEngine(sim::Session& session, fault::RecoveryCoordinator& recovery,
+              RoundScratch& scratch) noexcept
+      : session_(session), recovery_(recovery), scratch_(scratch) {}
+
+  /// A copy would borrow the original's owned scratch, which dies with it.
+  RoundEngine(const RoundEngine&) = delete;
+  RoundEngine& operator=(const RoundEngine&) = delete;
 
   /// Runs one complete round over `active` (round bookkeeping, policy init,
   /// batched tag-side index pick, singleton sift, dispatch, recovery
@@ -144,36 +181,38 @@ class RoundEngine final {
   [[nodiscard]] unsigned index_length() const noexcept { return h_; }
   /// Per-index pick counts (size 2^h) of the running round.
   [[nodiscard]] const std::vector<std::uint32_t>& counts() const noexcept {
-    return counts_;
+    return scratch_.counts;
   }
   /// Last device index that picked each bucket; meaningful where the
   /// count is 1 (the singleton's occupant). Filled only on the per-poll
   /// dispatch path — the clean-round fast path never consults it (nor
   /// done() and pending()).
   [[nodiscard]] const std::vector<std::size_t>& occupant() const noexcept {
-    return occupant_;
+    return scratch_.occupant;
   }
   /// done[i] != 0 once active[i] was read, detected missing, or abandoned.
-  [[nodiscard]] std::vector<char>& done() noexcept { return done_; }
+  [[nodiscard]] std::vector<char>& done() noexcept { return scratch_.done; }
   /// Device indices parked for the end-of-round recovery mop-up.
   [[nodiscard]] std::vector<std::size_t>& pending() noexcept {
-    return pending_;
+    return scratch_.pending;
   }
   /// Round-scoped scratch for the singleton index list (TPP's per-poll
   /// tree build; the engine's own clean TPP walk). Cleared by the engine
   /// before dispatch.
   [[nodiscard]] std::vector<std::uint32_t>& singleton_scratch() noexcept {
-    return singleton_scratch_;
+    return scratch_.singletons;
   }
   /// Round-scoped scratch for policies that chunk the dispatch (TPP's
   /// framed tree chunks). Cleared by the engine before dispatch.
   [[nodiscard]] std::vector<std::size_t>& chunk_scratch() noexcept {
-    return chunk_scratch_;
+    return scratch_.chunk;
   }
-  /// Run-scoped scratch for EHPP's circle subset: run_ehpp_circle splits
-  /// the circle's members into it and drains it with run_rounds, so its
-  /// capacity is paid in the first circle and reused by every later one.
-  [[nodiscard]] tags::TagSoA& subset_scratch() noexcept { return subset_; }
+  /// Scratch for EHPP's circle subset: run_ehpp_circle splits the circle's
+  /// members into it and drains it with run_rounds, so its capacity is
+  /// paid in the first circle and reused by every later one.
+  [[nodiscard]] tags::TagSoA& subset_scratch() noexcept {
+    return scratch_.subset;
+  }
 
   /// The HPP dispatch: singleton indices in ascending order, each poll
   /// carrying the full h-bit index. Shared by HPP proper, the HPP rounds
@@ -181,14 +220,14 @@ class RoundEngine final {
   void dispatch_singletons_ascending(tags::TagSoA& active);
 
  private:
-  /// Clean-round fast path: fills poll_bits_ with each singleton's vector
-  /// length in dispatch order, compacts `active` off the histogram, and
-  /// folds the polls' accounting in one AirLoop call.
+  /// Clean-round fast path: fills the scratch's poll_bits with each
+  /// singleton's vector length in dispatch order, compacts `active` off the
+  /// histogram, and folds the polls' accounting in one AirLoop call.
   void run_clean_polls(tags::TagSoA& active, Addressing addressing);
 
   /// The TPP half of run_clean_polls: collects the leaves of the round's
   /// polling tree (the singleton buckets of the histogram of `n` tags, in
-  /// ascending order) and fills poll_bits_ with each leaf's segment
+  /// ascending order) and fills poll_bits with each leaf's segment
   /// length, replaying the shared tag register as the per-poll tree
   /// dispatch does. Returns the leaf count.
   std::size_t tree_segment_lengths(std::size_t n);
@@ -202,17 +241,9 @@ class RoundEngine final {
   fault::RecoveryCoordinator& recovery_;
   unsigned h_ = 0;
   simd::Backend hash_backend_ = simd::best_backend();
-  // Round-scoped scratch, reused via assign/clear so capacity peaks in the
-  // first round and steady-state rounds perform no heap allocation.
-  std::vector<std::uint32_t> counts_;
-  std::vector<std::size_t> occupant_;
-  std::vector<char> done_;
-  std::vector<std::size_t> pending_;
-  std::vector<std::uint32_t> singleton_scratch_;
-  std::vector<std::size_t> chunk_scratch_;
-  /// Per-poll vector lengths of a clean round, in dispatch order.
-  std::vector<std::uint8_t> poll_bits_;
-  tags::TagSoA subset_;
+  /// Engaged only by the owning constructor; scratch_ then refers to it.
+  std::optional<RoundScratch> owned_;
+  RoundScratch& scratch_;
 };
 
 }  // namespace rfid::protocols
