@@ -78,9 +78,12 @@ check_reader_faults
 # 1M tags across 64 readers on 8 channels with zone overlap and live churn.
 # The report (stdout and JSON) must byte-match serial vs RFID_THREADS=4
 # (reader-ordered merge fold) AND across shard counts (--shards 1 vs 7):
-# the tick loop's parallel phase is reader-local, so the execution grain
-# must never leak into the results.
+# the tick loop's parallel phase is reader-local, and each shard's readers
+# take turns on one round scratch, so the execution grain must never leak
+# into the results. Run once per deployment protocol: TPP's clean rounds
+# size the poll-length buffer with resize, HPP's with assign.
 check_fleet_sharding() {
+  local protocol="$1"
   local sweep_bin="$bin_dir/examples/deployment_sweep"
   if [ ! -x "$sweep_bin" ]; then
     echo "check_determinism: missing $sweep_bin (build with RFID_BUILD_EXAMPLES=ON)" >&2
@@ -88,27 +91,30 @@ check_fleet_sharding() {
     return
   fi
   local args=(--tags 1000000 --readers 64 --channels 8
-              --overlap 0.1 --churn 0.001 --seed 11)
+              --overlap 0.1 --churn 0.001 --seed 11 --protocol "$protocol")
+  local out="$workdir/sweep-$protocol"
   RFID_THREADS=0 "$sweep_bin" "${args[@]}" --shards 1 \
-    --report-json "$workdir/sweep-serial.json" > "$workdir/sweep-serial.txt"
+    --report-json "$out-serial.json" > "$out-serial.txt"
   RFID_THREADS=4 "$sweep_bin" "${args[@]}" \
-    --report-json "$workdir/sweep-pooled.json" > "$workdir/sweep-pooled.txt"
+    --report-json "$out-pooled.json" > "$out-pooled.txt"
   RFID_THREADS=4 "$sweep_bin" "${args[@]}" --shards 7 \
-    --report-json "$workdir/sweep-shard7.json" > "$workdir/sweep-shard7.txt"
+    --report-json "$out-shard7.json" > "$out-shard7.txt"
   local variant ext
   for variant in pooled shard7; do
     for ext in json txt; do
-      if ! cmp -s "$workdir/sweep-serial.$ext" "$workdir/sweep-$variant.$ext"; then
-        echo "check_determinism[fleet-shard]: serial and $variant .$ext outputs differ:" >&2
-        cmp "$workdir/sweep-serial.$ext" "$workdir/sweep-$variant.$ext" >&2 || true
-        diff "$workdir/sweep-serial.$ext" "$workdir/sweep-$variant.$ext" >&2 || true
+      if ! cmp -s "$out-serial.$ext" "$out-$variant.$ext"; then
+        echo "check_determinism[fleet-shard $protocol]: serial and $variant .$ext outputs differ:" >&2
+        cmp "$out-serial.$ext" "$out-$variant.$ext" >&2 || true
+        diff "$out-serial.$ext" "$out-$variant.$ext" >&2 || true
         status=1
       fi
     done
   done
 }
-check_fleet_sharding
+check_fleet_sharding tpp
+check_fleet_sharding hpp
 [ "$status" -eq 0 ] || exit "$status"
 
 echo "check_determinism: OK (serial == RFID_THREADS=4, byte-identical," \
-  "clean and fault channels, supervised reader fleet, sharded deployment)"
+  "clean and fault channels, supervised reader fleet, sharded deployment" \
+  "under TPP and HPP)"

@@ -2,12 +2,16 @@
 // `static`). bench/bench_round_engine measures and *reports* the same
 // invariant; this test *fails* when it regresses.
 //
-// The contract (established by the RoundEngine refactor): one engine
-// instance spans a protocol run, all round-scoped scratch lives in the
-// engine and the round policies, so after the first round of a drain —
-// which grows every buffer to its high-water capacity — each further round
-// performs ZERO heap allocations. The gate covers the steady-state round
-// shape of all four polling protocols:
+// The contract (established by the RoundEngine refactor): all round-scoped
+// scratch lives in the engine's protocols::RoundScratch and the round
+// policies, and one engine instance spans a protocol run, so after the
+// first round of a drain — which grows every buffer to its high-water
+// capacity — each further round performs ZERO heap allocations. A
+// core::Deployment keeps one RoundScratch per execution shard, which the
+// shard's readers take turns on: the cold first rounds of its readers grow
+// one set of buffers, not one per reader, and a whole clean TPP drain
+// allocates fewer times than it has readers. The gate covers the
+// steady-state round shape of all four polling protocols:
 //   HPP    — HppRoundPolicy, init bits outside w;
 //   EHPP   — the HPP rounds inside a circle (init bits folded into w; the
 //            per-circle setup (circle frame encode, subset split) is
@@ -201,10 +205,11 @@ TEST(AllocGuard, SupervisorBoundedTransitionsStayWithinReserve) {
 
 TEST(AllocGuard, DeploymentFaultFreeTicksAllocationFree) {
   // The deployment simulator's serial scheduling tick (no faults, no
-  // churn, overlap on so ownership resolution ran at placement): after one
-  // full channel rotation has given every reader its buffer-growing first
-  // round, each further tick — schedule recompute, round, channel fold,
-  // supervisor sweep — must allocate nothing.
+  // churn, overlap on so ownership resolution ran at placement): once one
+  // full channel rotation has run every reader's first round on the
+  // shard's round scratch, growing it to the largest of them, each further
+  // tick — schedule recompute, round, channel fold, supervisor sweep —
+  // must allocate nothing.
   Xoshiro256ss id_rng(kSeed + 2);
   const tags::TagPopulation population =
       tags::TagPopulation::uniform_random(kPopulation, id_rng);
@@ -232,6 +237,35 @@ TEST(AllocGuard, DeploymentFaultFreeTicksAllocationFree) {
   }
   EXPECT_GE(steady_ticks, 3u);  // the gate must have measured something
   EXPECT_EQ(steady, 0u);
+  EXPECT_TRUE(deployment.finish().verified);
+}
+
+TEST(AllocGuard, DeploymentDrainAllocatesFewerTimesThanReaders) {
+  // The cold rounds the gate above warms up past. A clean serial TPP
+  // drain keeps one round scratch for its one shard, so a reader's first
+  // round grows a buffer only when it needs more room than every earlier
+  // reader's did. Across the whole tick loop the drain must therefore
+  // allocate fewer times than it has readers; a scratch per reader would
+  // cost three allocations in every reader's first round.
+  constexpr std::size_t kReaders = 64;
+  Xoshiro256ss id_rng(kSeed + 5);
+  const tags::TagPopulation population =
+      tags::TagPopulation::uniform_random(20000, id_rng);
+  core::DeploymentConfig config;
+  config.readers = kReaders;
+  config.channels = 8;
+  config.session.seed = kSeed;
+  config.session.keep_records = false;
+  core::Deployment deployment(population, config);
+  ASSERT_EQ(deployment.shard_count(), 1u);
+
+  std::uint64_t ticks = 0;
+  const alloc_guard::Probe probe;
+  while (deployment.tick()) ++ticks;
+  const std::uint64_t allocs = probe.delta();
+  // Eight ticks give each of the 64 readers on 8 channels its first round.
+  EXPECT_GE(ticks, kReaders / 8);
+  EXPECT_LT(allocs, kReaders);
   EXPECT_TRUE(deployment.finish().verified);
 }
 

@@ -367,6 +367,10 @@ TEST(Deployment, ChurnAloneExhaustsTheHandoffBudget) {
 // --- Shard and thread invariance --------------------------------------------
 
 TEST(Deployment, ReportIsInvariantToShardCount) {
+  // Without a pool the shards run one after another and placement ignores
+  // them, so the sharded runs go through a pool: 2 and 7 shards split the
+  // 14 readers into concurrent tasks that each run their readers on one
+  // round scratch, while crashes fold and rebuild sessions mid-drain.
   const auto pop = uniform(3000, 49);
   DeploymentConfig config;
   config.readers = 14;
@@ -375,12 +379,24 @@ TEST(Deployment, ReportIsInvariantToShardCount) {
   config.zone_overlap = 0.25;
   config.churn_move_per_tick = 0.005;
   config.churn_depart_per_tick = 0.001;
-  config.shards = 1;
-  const std::string baseline = deployment_digest(run_deployment(pop, config));
-  for (const std::size_t shards : {2u, 7u}) {
-    config.shards = shards;
-    EXPECT_EQ(deployment_digest(run_deployment(pop, config)), baseline)
-        << "shards=" << shards;
+  config.reader_faults.crash_per_tick = 0.02;
+  parallel::ThreadPool pool(3);
+  for (const protocols::ProtocolKind kind :
+       {protocols::ProtocolKind::kHpp, protocols::ProtocolKind::kTpp}) {
+    config.kind = kind;
+    config.shards = 1;
+    const DeploymentReport serial = run_deployment(pop, config);
+    EXPECT_GT(serial.totals.reader_crashes, 0u);
+    const std::string baseline = deployment_digest(serial);
+    for (const std::size_t shards : {2u, 7u}) {
+      config.shards = shards;
+      Deployment sharded(pop, config, &pool);
+      EXPECT_EQ(sharded.shard_count(), shards);
+      while (sharded.tick()) {
+      }
+      EXPECT_EQ(deployment_digest(sharded.finish()), baseline)
+          << protocols::to_string(kind) << " shards=" << shards;
+    }
   }
 }
 
