@@ -80,8 +80,12 @@ DeploymentConfig validated(DeploymentConfig config) {
                config.churn_depart_per_tick < 1.0);
   RFID_EXPECTS(config.churn_move_per_tick >= 0.0 &&
                config.churn_move_per_tick < 1.0);
-  RFID_EXPECTS(config.churn_depart_per_tick + config.churn_move_per_tick <
-               1.0);
+  const double hazard =
+      config.churn_depart_per_tick + config.churn_move_per_tick;
+  RFID_EXPECTS(hazard < 1.0);
+  // An event tick reaches 36.7 / hazard (the largest -log of a wait draw
+  // over the hazard), which passes 2^64 below about 2e-18.
+  RFID_EXPECTS(hazard == 0.0 || hazard >= 1e-12);
   return config;
 }
 
@@ -133,6 +137,7 @@ PlacementRules::PlacementRules(const DeploymentConfig& config) noexcept
       depart_(config.churn_depart_per_tick),
       hazard_(config.churn_depart_per_tick + config.churn_move_per_tick),
       log_survive_(std::log1p(-std::min(hazard_, 0.9999999999))),
+      floor_scale_(hazard_ > 0.0 ? (1.0 - 0x1p-40) / -log_survive_ : 0.0),
       first_wait_key_(derive_seed(config.churn_seed, 0)),
       first_kind_key_(derive_seed(config.churn_seed, 1)) {}
 
@@ -192,6 +197,19 @@ ChurnPosition PlacementRules::churn_position(
       position.zone = (position.zone + step) % readers_;
     }
   }
+}
+
+std::uint64_t PlacementRules::first_event_floor(IdWords id) const noexcept {
+  // Event 0 fires at 1 + trunc(-ln u / -log_survive_) (churn_position),
+  // u being the tag's event-0 wait draw. As -ln u >= 1 - u on (0, 1],
+  // trunc((1 - u) / -log_survive_) is at most trunc(-ln u / -log_survive_)
+  // and so strictly below that tick. 1 - u is exact (u is a multiple of
+  // 2^-53), and the slope's 2^-40 margin is about 2^11 times the combined
+  // rounding of std::log, the division and the product below, so the
+  // bound holds in floating point too. The truncation stays below 2^64
+  // for any total hazard that validated() admits.
+  const double wait = hash_unit(tag_hash_words(first_wait_key_, id.hi, id.lo));
+  return static_cast<std::uint64_t>((1.0 - wait) * floor_scale_);
 }
 
 // --- Reader runtime ---------------------------------------------------------
@@ -308,9 +326,10 @@ Deployment::Deployment(const tags::TagPopulation& population,
     channels_state_[c].readers =
         channel_population(c, config_.readers, channels_);
   scheduled_.resize(channels_);
-  // Zeroed: every tag's first evaluation stays lazy, in its reader's scan.
+  // kPlaced: every tag's first check stays lazy, in its reader's scan, and
+  // may settle there from its first-event floor.
   if (config_.churn_depart_per_tick > 0.0 || config_.churn_move_per_tick > 0.0)
-    horizon_.assign(population_->size(), 0);
+    horizon_.assign(population_->size(), kPlaced);
 }
 
 Deployment::~Deployment() = default;
@@ -401,13 +420,20 @@ void Deployment::run_reader_parallel(std::size_t reader,
 // compares each tag's horizon with the tick, with independent loads and no
 // hashing; pass 2 walks the due tags' churn events from their ID words. A
 // tag that stays stores its next event tick as its new horizon.
+//
+// A kPlaced tag has not moved since placement (only rehome moves a tag
+// between readers, and it stores kArrived), so before its first event its
+// zone is its home and its owner is this reader. When its first-event
+// floor lies past the tick, the floor becomes its horizon and the tag
+// stays, with no log, home hash or ownership hash. A floor is a lower
+// bound, so storing one can only bring the tag's full evaluation forward.
 void Deployment::churn_scan(std::size_t reader, detail::ReaderRuntime& rt) {
   const std::size_t n = rt.active.size();
   rt.churn_done.resize(n);
   // Locals, not members: the char stores below may alias any member.
   const std::uint64_t now = tick_;
   const tags::Tag* const base = population_->tags().data();
-  const std::uint32_t* const horizon = horizon_.data();
+  std::uint32_t* const horizon = horizon_.data();
   char* const flags = rt.churn_done.data();
   std::size_t due = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -422,8 +448,17 @@ void Deployment::churn_scan(std::size_t reader, detail::ReaderRuntime& rt) {
     if (flags[i] == 0) continue;
     const tags::Tag* tag = rt.active.tag(i);
     const IdWords id{rt.active.id_hi(i), rt.active.id_lo(i)};
+    std::uint32_t& stored = horizon[static_cast<std::size_t>(tag - base)];
+    if (stored == kPlaced) {
+      const std::uint64_t floor = rules_.first_event_floor(id);
+      if (floor > now) {
+        flags[i] = 0;
+        stored = saturated_tick(floor);
+        continue;
+      }
+    }
     const ChurnPosition position =
-        rules_.churn_position(id, rules_.home(id), tick_);
+        rules_.churn_position(id, rules_.home(id), now);
     if (position.departed) {
       rt.departed.push_back(tag->id());
       ++removed;
@@ -437,7 +472,7 @@ void Deployment::churn_scan(std::size_t reader, detail::ReaderRuntime& rt) {
       continue;
     }
     flags[i] = 0;
-    horizon_[tag_index(tag)] = saturated_tick(position.next_event_at);
+    stored = saturated_tick(position.next_event_at);
   }
   if (removed > 0) rt.active.compact(rt.churn_done);
 }
@@ -452,8 +487,8 @@ bool Deployment::take_handoff(const tags::Tag* tag) {
 
 void Deployment::rehome(std::size_t reader, const tags::Tag* tag) {
   runtime_[reader].active.push_back(tag);
-  // The receiving reader evaluates the tag afresh at its next scan.
-  if (!horizon_.empty()) horizon_[tag_index(tag)] = 0;
+  // The receiving reader evaluates the tag in full at its next scan.
+  if (!horizon_.empty()) horizon_[tag_index(tag)] = kArrived;
 }
 
 void Deployment::apply_fault_event(std::size_t reader,

@@ -245,6 +245,32 @@ TEST(Churn, PositionHoldsUntilNextEventAt) {
   EXPECT_GT(spans, 300u);  // most sampled ticks precede the departure
 }
 
+TEST(Churn, FirstEventFloorStaysBelowTheFirstEvent) {
+  // The bound a placed tag's first churn check settles on: strictly below
+  // the tick of event 0 at every hazard, and at churn-fleet's hazard past
+  // a 16-tick first rotation for nearly every tag, so the scan's shortcut
+  // fires there.
+  DeploymentConfig config;
+  config.readers = 5;
+  Xoshiro256ss rng(54);
+  for (const double hazard : {1e-12, 1e-6, 0.002, 0.05, 0.3, 0.9999}) {
+    config.churn_move_per_tick = hazard;
+    const PlacementRules rules(config);
+    constexpr std::size_t kIds = 100'000;
+    std::size_t past_rotation = 0;
+    for (std::size_t i = 0; i < kIds; ++i) {
+      const IdWords id{rng(), rng() & 0xFFFFFFFFu};
+      const std::uint64_t floor = rules.first_event_floor(id);
+      ASSERT_LT(floor, rules.churn_position(id, 2, 0).next_event_at)
+          << "hazard " << hazard << " id " << id.hi << ':' << id.lo;
+      past_rotation += floor > 16 ? 1u : 0u;
+    }
+    if (hazard == 0.002) {
+      EXPECT_GE(past_rotation, kIds * 95 / 100);
+    }
+  }
+}
+
 // --- End-to-end accounting --------------------------------------------------
 
 TEST(Deployment, ChurningOverlappingSweepAccountsExactly) {
@@ -537,6 +563,12 @@ TEST(Deployment, InvalidConfigsRejected) {
   config.zone_overlap = 0.0;
   config.churn_depart_per_tick = 1.0;
   EXPECT_THROW((void)run_deployment(pop, config), ContractViolation);
+  // A total hazard this small puts event ticks past 2^64.
+  config.churn_depart_per_tick = 0.0;
+  config.churn_move_per_tick = 1e-20;
+  EXPECT_THROW((void)run_deployment(pop, config), ContractViolation);
+  config.churn_move_per_tick = 1e-12;
+  EXPECT_NO_THROW((void)run_deployment(pop, config));
 }
 
 }  // namespace
