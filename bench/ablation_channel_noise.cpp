@@ -1,7 +1,8 @@
 // Ablation (extension beyond the paper): channel noise. The paper assumes
-// a clean channel; here each tag reply is garbled with probability p and
-// the unacknowledged tag stays awake for a later round. Short polling
-// vectors amortize retries too, so the paper's ranking is noise-robust.
+// a clean channel; here each tag reply is garbled with probability p (the
+// fault layer's i.i.d. link model) and the unacknowledged tag stays awake
+// for a later round. Short polling vectors amortize retries too, so the
+// paper's ranking is noise-robust.
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -32,7 +33,8 @@ int main() {
       plan.trials = trials;
       plan.master_seed = 2024;
       plan.session.info_bits = 1;
-      plan.session.reply_error_rate = p;
+      plan.session.fault.link = fault::LinkModel::kBernoulli;
+      plan.session.fault.bernoulli_loss = p;
       bench::RunManifest::instance().record(protocol->name(), n, 1, trials,
                                             plan.master_seed);
       const auto series = parallel::run_trials(

@@ -10,8 +10,9 @@ constexpr std::array<std::uint16_t, 256> make_crc16_table() {
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint16_t crc = static_cast<std::uint16_t>(i << 8);
     for (int bit = 0; bit < 8; ++bit) {
-      crc = static_cast<std::uint16_t>((crc & 0x8000u) ? (crc << 1) ^ 0x1021u
-                                                       : (crc << 1));
+      const unsigned shifted = static_cast<unsigned>(crc) << 1;
+      crc = static_cast<std::uint16_t>((crc & 0x8000u) ? shifted ^ 0x1021u
+                                                       : shifted);
     }
     table[i] = crc;
   }

@@ -12,9 +12,6 @@
 #if defined(__x86_64__) || defined(__amd64__)
 #include <immintrin.h>
 #define RFID_SIMD_X86 1
-#elif defined(__ARM_NEON)
-#include <arm_neon.h>
-#define RFID_SIMD_NEON 1
 #endif
 #endif
 
@@ -331,74 +328,6 @@ count_singletons_avx512(const std::uint32_t* counts, std::size_t f) noexcept {
 
 #pragma GCC diagnostic pop
 
-#endif  // RFID_SIMD_X86
-
-#if defined(RFID_SIMD_NEON)
-
-// NEON (AArch64) has no 64×64 vector multiply either; same 32×32→64
-// composition as the AVX2 backend, via vmull/vmlal.
-inline uint64x2_t mul64(uint64x2_t a, uint64x2_t b) noexcept {
-  const uint32x2_t a_lo = vmovn_u64(a);
-  const uint32x2_t b_lo = vmovn_u64(b);
-  const uint32x2_t a_hi = vshrn_n_u64(a, 32);
-  const uint32x2_t b_hi = vshrn_n_u64(b, 32);
-  uint64x2_t cross = vmull_u32(a_hi, b_lo);
-  cross = vmlal_u32(cross, a_lo, b_hi);
-  return vaddq_u64(vmull_u32(a_lo, b_lo), vshlq_n_u64(cross, 32));
-}
-
-inline uint64x2_t mix64x2(uint64x2_t x) noexcept {
-  const uint64x2_t m1 = vdupq_n_u64(0xff51afd7ed558ccdULL);
-  const uint64x2_t m2 = vdupq_n_u64(0xc4ceb9fe1a85ec53ULL);
-  x = veorq_u64(x, vshrq_n_u64(x, 33));
-  x = mul64(x, m1);
-  x = veorq_u64(x, vshrq_n_u64(x, 33));
-  x = mul64(x, m2);
-  x = veorq_u64(x, vshrq_n_u64(x, 33));
-  return x;
-}
-
-void hash_indices_neon(std::uint64_t seed, const std::uint64_t* id_hi,
-                       const std::uint64_t* id_lo, std::uint32_t* out,
-                       std::size_t n, unsigned h) noexcept {
-  if (h == 0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  const uint64x2_t seeded = vdupq_n_u64(mix64(seed ^ 0x2545f4914f6cdd1dULL));
-  const uint64x2_t golden = vdupq_n_u64(0x9e3779b97f4a7c15ULL);
-  // vshlq_u64 with a negative per-lane count is a logical right shift.
-  const int64x2_t shift = vdupq_n_s64(-static_cast<std::int64_t>(64u - h));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t hi = vld1q_u64(id_hi + i);
-    const uint64x2_t lo = vld1q_u64(id_lo + i);
-    uint64x2_t acc = mix64x2(veorq_u64(seeded, hi));
-    acc = mix64x2(veorq_u64(acc, mul64(lo, golden)));
-    const uint64x2_t idx = vshlq_u64(acc, shift);
-    out[i] = static_cast<std::uint32_t>(vgetq_lane_u64(idx, 0));
-    out[i + 1] = static_cast<std::uint32_t>(vgetq_lane_u64(idx, 1));
-  }
-  hash_indices_scalar(seed, id_hi + i, id_lo + i, out + i, n - i, h);
-}
-
-std::size_t count_singletons_neon(const std::uint32_t* counts,
-                                  std::size_t f) noexcept {
-  const uint32x4_t one = vdupq_n_u32(1);
-  uint64x2_t acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 4 <= f; i += 4) {
-    const uint32x4_t eq = vceqq_u32(vld1q_u32(counts + i), one);
-    acc = vaddq_u64(acc, vpaddlq_u32(vshrq_n_u32(eq, 31)));
-  }
-  const std::size_t total = static_cast<std::size_t>(
-      vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1));
-  return total + count_singletons_scalar(counts + i, f - i);
-}
-
-#endif  // RFID_SIMD_NEON
-
-#if defined(RFID_SIMD_X86)
 Backend detect_backend() noexcept {
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512dq"))
@@ -406,7 +335,8 @@ Backend detect_backend() noexcept {
   if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
   return Backend::kScalar;
 }
-#endif
+
+#endif  // RFID_SIMD_X86
 
 }  // namespace
 
@@ -414,25 +344,9 @@ Backend best_backend() noexcept {
 #if defined(RFID_SIMD_X86)
   static const Backend detected = detect_backend();
   return detected;
-#elif defined(RFID_SIMD_NEON)
-  return Backend::kNeon;
 #else
   return Backend::kScalar;
 #endif
-}
-
-std::size_t lanes() noexcept {
-  switch (best_backend()) {
-    case Backend::kAvx512:
-      return 8;
-    case Backend::kAvx2:
-      return 4;
-    case Backend::kNeon:
-      return 2;
-    case Backend::kScalar:
-      return 1;
-  }
-  return 1;
 }
 
 void hash_indices(std::uint64_t seed, const std::uint64_t* id_hi,
@@ -451,11 +365,6 @@ void hash_indices(std::uint64_t seed, const std::uint64_t* id_hi,
     hash_indices_avx2(seed, id_hi, id_lo, out, n, h);
     return;
   }
-#elif defined(RFID_SIMD_NEON)
-  if (backend == Backend::kNeon) {
-    hash_indices_neon(seed, id_hi, id_lo, out, n, h);
-    return;
-  }
 #endif
   (void)backend;
   hash_indices_scalar(seed, id_hi, id_lo, out, n, h);
@@ -468,8 +377,6 @@ std::size_t count_singletons(const std::uint32_t* counts, std::size_t f,
     return count_singletons_avx512(counts, f);
   if (backend == Backend::kAvx2 && best_backend() != Backend::kScalar)
     return count_singletons_avx2(counts, f);
-#elif defined(RFID_SIMD_NEON)
-  if (backend == Backend::kNeon) return count_singletons_neon(counts, f);
 #endif
   (void)backend;
   return count_singletons_scalar(counts, f);
@@ -495,9 +402,8 @@ std::size_t compact_nonsingletons(const std::uint32_t* counts,
 std::size_t split_members(std::uint64_t seed, std::uint64_t modulus,
                           std::uint64_t threshold, IdColumns in, IdColumns keep,
                           IdColumns join, std::size_t n, Backend backend) {
-  // Only AVX-512 earns a vector split: AVX2 hashing measures within noise
-  // of scalar and has no compress store, so it and NEON run the scalar
-  // reference, which splits exactly the same way.
+  // Only AVX-512 has the masked compress store a one-pass split needs;
+  // AVX2 runs the scalar reference, which splits exactly the same way.
   const std::uint64_t mask = modulus - 1;
 #if defined(RFID_SIMD_X86)
   if (backend == Backend::kAvx512 && best_backend() == Backend::kAvx512)

@@ -9,17 +9,17 @@
 //   count_singletons      — singleton buckets of the round's histogram;
 //   compact_nonsingletons — the clean-round compaction;
 //   split_members         — EHPP's circle split (H(r, id) mod F < f).
-// The backends are a scalar reference, AVX-512 (8 × 64-bit lanes), AVX2
-// (4 × 64-bit lanes), and NEON (2 × 64-bit lanes). The two compaction
-// kernels need a compress store, so they have an AVX-512 form only and
-// run the scalar reference on every other backend. Vector backends are
-// compiled in at configure time via the RFID_SIMD CMake option; among the
-// compiled-in backends the widest one the *running* CPU supports is
-// picked at startup (best_backend), so one binary is safe on any machine
-// of its architecture. The implementation lives in simd.cpp —
-// the only translation unit containing vector intrinsics (each kernel
-// carries its own `target` attribute) — so the rest of the build is
-// bit-for-bit independent of the option.
+// The three backends are a scalar reference, AVX-512 (8 × 64-bit lanes)
+// and AVX2 (4 × 64-bit lanes). The two compaction kernels need a compress
+// store, so they have an AVX-512 form only and run the scalar reference
+// on AVX2. The vector backends are compiled in on x86-64 at configure
+// time via the RFID_SIMD CMake option; the widest one the *running* CPU
+// supports is picked at startup (best_backend), so one binary is safe on
+// any x86-64 machine. Every other architecture runs the scalar reference.
+// The implementation lives in simd.cpp — the only translation unit
+// containing vector intrinsics (each kernel carries its own `target`
+// attribute) — so the rest of the build is bit-for-bit independent of
+// the option.
 //
 // Lane→tag determinism rule: out[i] depends ONLY on (seed, id_hi[i],
 // id_lo[i], h) — or, for the circle split, (seed, id_hi[i], id_lo[i], F,
@@ -35,7 +35,7 @@
 
 namespace rfid::simd {
 
-enum class Backend : std::uint8_t { kScalar, kAvx2, kAvx512, kNeon };
+enum class Backend : std::uint8_t { kScalar, kAvx2, kAvx512 };
 
 [[nodiscard]] constexpr const char* backend_name(Backend backend) noexcept {
   switch (backend) {
@@ -43,8 +43,6 @@ enum class Backend : std::uint8_t { kScalar, kAvx2, kAvx512, kNeon };
       return "avx512";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
     case Backend::kScalar:
       return "scalar";
   }
@@ -55,11 +53,6 @@ enum class Backend : std::uint8_t { kScalar, kAvx2, kAvx512, kNeon };
 /// (kScalar when RFID_SIMD is OFF or neither holds). Constant for the
 /// process lifetime, so callers may cache it.
 [[nodiscard]] Backend best_backend() noexcept;
-
-/// 64-bit lanes of best_backend(): 8 (AVX-512), 4 (AVX2), 2 (NEON),
-/// 1 (scalar). Tests use this to pin the lane-tail edge cases
-/// (n = width ± 1).
-[[nodiscard]] std::size_t lanes() noexcept;
 
 /// Batched H(r, id) index pick: out[i] = tag_hash_words(seed, id_hi[i],
 /// id_lo[i]) >> (64 - h) for all i < n (h == 0 yields index 0), exactly

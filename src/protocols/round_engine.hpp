@@ -15,7 +15,7 @@
 //
 // The active population lives in a structure-of-arrays view (tags::TagSoA)
 // so the tag-side index pick runs as one batched kernel over contiguous ID
-// words (common/simd.hpp; AVX2/NEON behind a scalar reference). On top of
+// words (common/simd.hpp; AVX-512/AVX2 behind a scalar reference). On top of
 // that, rounds whose polls cannot fail (sim::Session::clean_poll_fast_path)
 // skip the per-poll dispatch machinery entirely, for HPP and TPP alike: the
 // engine reads each singleton's vector length off the bucket histogram (h

@@ -84,14 +84,10 @@ const tags::Tag* AirLoop::complete_reply(
                         expected->id().to_hex());
   }
   const double tag_us = config_.timing.tag_tx_us(config_.info_bits);
-  // Decode-error decision. The legacy Bernoulli knob draws from the session
-  // stream exactly as it always has; the structured link models draw from
-  // the injector's private stream, so enabling them (or leaving everything
-  // off) does not perturb the session's own sequence of draws.
-  bool garbled = config_.reply_error_rate > 0.0 &&
-                 protocol_rng_.bernoulli(config_.reply_error_rate);
-  if (!garbled && injector_.link_active()) garbled = injector_.corrupt_reply();
-  if (garbled) {
+  // Decode-error decision. The link model draws from the injector's private
+  // stream, so enabling it (or leaving it off) does not perturb the
+  // session's own sequence of draws.
+  if (injector_.link_active() && injector_.corrupt_reply()) {
     // Reply garbled in flight: the full interaction airtime is spent, the
     // PHY CRC rejects the decode, and with no ACK the tag stays awake for
     // a later round.
@@ -303,14 +299,8 @@ air::SlotResult AirLoop::frame_slot_aloha(
     slot.outcome = air::SlotOutcome::kSingleton;
     slot.responder = responders[protocol_rng_.below(responders.size())];
   }
-  bool slot_garbled = false;
-  if (slot.outcome == air::SlotOutcome::kSingleton) {
-    slot_garbled = config_.reply_error_rate > 0.0 &&
-                   protocol_rng_.bernoulli(config_.reply_error_rate);
-    if (!slot_garbled && injector_.link_active())
-      slot_garbled = injector_.corrupt_reply();
-  }
-  if (slot_garbled) {
+  if (slot.outcome == air::SlotOutcome::kSingleton &&
+      injector_.link_active() && injector_.corrupt_reply()) {
     // A garbled singleton wastes the slot exactly like a collision.
     slot.decoded = false;
     const double dt = config_.timing.collision_slot_us(config_.info_bits);

@@ -67,21 +67,20 @@ class Session final : private phy::AirtimeSink, public fault::RecoveryHost {
   }
 
   /// True when every singleton poll this session issues is guaranteed to
-  /// succeed with fixed per-poll accounting: no framing, no reply noise or
-  /// structured link model, no downlink BER, no churn or presence filter,
-  /// no per-poll record/trace output, and no open recovery phase. Under
-  /// these conditions a poll's airtime depends only on its vector length,
-  /// so the round engine may replace the per-poll dispatch loop of an HPP
-  /// or TPP round with one AirLoop::clean_singleton_replies call over the
-  /// polls' lengths — byte-identical metrics, a fraction of the work.
+  /// succeed with fixed per-poll accounting: no framing, no reply-loss link
+  /// model, no downlink BER, no churn or presence filter, no per-poll
+  /// record/trace output, and no open recovery phase. Under these
+  /// conditions a poll's airtime depends only on its vector length, so the
+  /// round engine may replace the per-poll dispatch loop of an HPP or TPP
+  /// round with one AirLoop::clean_singleton_replies call over the polls'
+  /// lengths — byte-identical metrics, a fraction of the work.
   /// Recovery merely being *enabled* stays eligible: with no failures
   /// nothing is ever parked for the mop-up.
   [[nodiscard]] bool clean_poll_fast_path() const noexcept {
-    return !config_.framing.enabled && config_.reply_error_rate == 0.0 &&
-           !config_.keep_records && config_.tracer == nullptr &&
-           config_.present == nullptr && !injector_.ber_active() &&
-           !injector_.link_active() && !injector_.churn_active() &&
-           !air_.in_recovery();
+    return !config_.framing.enabled && !config_.keep_records &&
+           config_.tracer == nullptr && config_.present == nullptr &&
+           !injector_.ber_active() && !injector_.link_active() &&
+           !injector_.churn_active() && !air_.in_recovery();
   }
 
   // --- Fault recovery (fault::RecoveryHost) ---------------------------------

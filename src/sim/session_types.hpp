@@ -55,11 +55,6 @@ struct SessionConfig final {
   /// tag is reported missing — the paper's anti-theft use case (Section I).
   /// Not owned; must outlive the run.
   const std::unordered_set<TagId, TagIdHash>* present = nullptr;
-  /// Probability that a tag's reply is garbled in flight (detected by the
-  /// reader's PHY CRC). The airtime is spent but nothing is decoded; under
-  /// C1G2 the unacknowledged tag stays awake, so polling protocols simply
-  /// catch it in a later round. 0 models the paper's clean channel.
-  double reply_error_rate = 0.0;
   /// Capture effect: probability that a collision slot still decodes as
   /// the strongest single reply (a real UHF phenomenon; helps the ALOHA
   /// family, irrelevant to polling which never collides). Applies to

@@ -124,7 +124,8 @@ TEST(Dfsa, CaptureAndNoiseTogetherStayExact) {
   config.seed = 71;
   config.info_bits = 8;
   config.capture_probability = 0.3;
-  config.reply_error_rate = 0.15;
+  config.fault.link = fault::LinkModel::kBernoulli;
+  config.fault.bernoulli_loss = 0.15;
   const auto result = Dfsa().run(pop, config);
   EXPECT_EQ(result.metrics.polls, 2000u);
   EXPECT_GT(result.metrics.corrupted, 0u);

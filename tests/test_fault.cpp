@@ -379,21 +379,5 @@ TEST(ZeroFault, FaultyRunReportsFaultFields) {
   EXPECT_NE(json.find("\"undelivered_ids\""), std::string::npos);
 }
 
-TEST(ZeroFault, LegacyNoiseKnobStaysOnSessionStream) {
-  // The legacy reply_error_rate draws from the session RNG exactly as
-  // before; pairing it with a disabled structured plan must not perturb it.
-  const auto pop = make_population(300, 12);
-  sim::SessionConfig noisy;
-  noisy.seed = 101;
-  noisy.reply_error_rate = 0.2;
-  sim::SessionConfig noisy_spelled = noisy;
-  noisy_spelled.fault = FaultConfig{};
-  const auto protocol = protocols::make_protocol(ProtocolKind::kHpp);
-  const auto a = protocol->run(pop, noisy);
-  const auto b = protocol->run(pop, noisy_spelled);
-  EXPECT_EQ(sim::to_json(a), sim::to_json(b));
-  EXPECT_GT(a.metrics.corrupted, 0u);
-}
-
 }  // namespace
 }  // namespace rfid

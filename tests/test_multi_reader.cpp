@@ -136,7 +136,8 @@ TEST(MultiReader, AcceptsOnlyRoundEngineProtocols) {
 TEST(MultiReader, NoisyChannelStillCoversExactly) {
   const auto pop = uniform(1500, 21);
   DeploymentConfig config = schedule(3, 1);
-  config.session.reply_error_rate = 0.2;
+  config.session.fault.link = fault::LinkModel::kBernoulli;
+  config.session.fault.bernoulli_loss = 0.2;
   const auto report = run_deployment(pop, config);
   EXPECT_TRUE(report.verified);
   EXPECT_EQ(report.delivered, 1500u);

@@ -1,7 +1,8 @@
-// Channel-noise (failure-injection) tests: with a nonzero reply error rate
-// every protocol must still deliver a complete, correct collection — under
-// C1G2 an unacknowledged tag stays awake, so garbled replies simply feed
-// back into later rounds (or immediate retries for the conventional family).
+// Channel-noise (failure-injection) tests: under i.i.d. reply loss
+// (fault::LinkModel::kBernoulli) every protocol must still deliver a
+// complete, correct collection — under C1G2 an unacknowledged tag stays
+// awake, so garbled replies simply feed back into later rounds (or
+// immediate retries for the conventional family).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,6 +31,12 @@ NoiseCase noise_case(ProtocolKind kind, double error_rate) {
   return NoiseCase{.kind = kind, .error_rate = error_rate};
 }
 
+/// Garbles each reply with probability `loss` on the fault stream.
+void set_reply_loss(sim::SessionConfig& config, double loss) {
+  config.fault.link = fault::LinkModel::kBernoulli;
+  config.fault.bernoulli_loss = loss;
+}
+
 class NoiseSweep : public ::testing::TestWithParam<NoiseCase> {};
 
 TEST_P(NoiseSweep, CompleteAndCorrectUnderNoise) {
@@ -41,7 +48,7 @@ TEST_P(NoiseSweep, CompleteAndCorrectUnderNoise) {
   sim::SessionConfig config;
   config.info_bits = 8;
   config.seed = 5;
-  config.reply_error_rate = rate;
+  set_reply_loss(config, rate);
   const auto report = core::collect_info(kind, pop, config);
   EXPECT_TRUE(report.verification.ok)
       << report.result.protocol << ": " << report.verification.message;
@@ -72,7 +79,7 @@ TEST(Noise, CorruptionRateMatchesConfiguredProbability) {
   const auto pop = tags::TagPopulation::uniform_random(5000, rng);
   sim::SessionConfig config;
   config.seed = 2;
-  config.reply_error_rate = 0.2;
+  set_reply_loss(config, 0.2);
   const auto result =
       protocols::make_protocol(ProtocolKind::kTpp)->run(pop, config);
   // Each successful poll is preceded by Geometric(0.2) failures: expected
@@ -87,7 +94,7 @@ TEST(Noise, NoiseCostsTime) {
   sim::SessionConfig clean;
   clean.seed = 4;
   sim::SessionConfig noisy = clean;
-  noisy.reply_error_rate = 0.25;
+  set_reply_loss(noisy, 0.25);
   const auto protocol = protocols::make_protocol(ProtocolKind::kTpp);
   const auto fast = protocol->run(pop, clean);
   const auto slow = protocol->run(pop, noisy);
@@ -109,7 +116,7 @@ TEST(Noise, DeterministicUnderSeed) {
   const auto pop = tags::TagPopulation::uniform_random(700, rng);
   sim::SessionConfig config;
   config.seed = 8;
-  config.reply_error_rate = 0.15;
+  set_reply_loss(config, 0.15);
   const auto protocol = protocols::make_protocol(ProtocolKind::kEhpp);
   const auto a = protocol->run(pop, config);
   const auto b = protocol->run(pop, config);
@@ -126,7 +133,7 @@ TEST(Noise, CombinesWithMissingTags) {
     if (i % 20 != 0) present.insert(pop[i].id());
   sim::SessionConfig config;
   config.seed = 10;
-  config.reply_error_rate = 0.2;
+  set_reply_loss(config, 0.2);
   const auto report =
       core::find_missing_tags(ProtocolKind::kTpp, pop, present, config);
   EXPECT_TRUE(report.exact);
@@ -140,7 +147,7 @@ TEST(Noise, TppStillBeatsCppUnderHeavyNoise) {
   const auto pop = tags::TagPopulation::uniform_random(2000, rng);
   sim::SessionConfig config;
   config.seed = 12;
-  config.reply_error_rate = 0.25;
+  set_reply_loss(config, 0.25);
   const auto tpp =
       protocols::make_protocol(ProtocolKind::kTpp)->run(pop, config);
   const auto cpp =

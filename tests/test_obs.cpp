@@ -30,7 +30,10 @@ sim::RunResult traced_run(core::ProtocolKind kind, std::size_t n,
   sim::SessionConfig config;
   config.seed = seed;
   config.keep_records = false;
-  config.reply_error_rate = noise;
+  if (noise > 0.0) {
+    config.fault.link = fault::LinkModel::kBernoulli;
+    config.fault.bernoulli_loss = noise;
+  }
   config.tracer = &tracer;
   return protocols::make_protocol(kind)->run(pop, config);
 }

@@ -197,7 +197,8 @@ TEST(PollingAssisted, WorksUnderNoise) {
   sim::SessionConfig config;
   config.seed = 55;
   config.present = &scenario.present;
-  config.reply_error_rate = 0.2;
+  config.fault.link = fault::LinkModel::kBernoulli;
+  config.fault.bernoulli_loss = 0.2;
   const auto report =
       PollingAssistedIdentification().identify(scenario.expected, config);
   EXPECT_EQ(report.missing, scenario.truly_missing);

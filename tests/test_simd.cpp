@@ -3,14 +3,19 @@
 //
 // The lane→tag rule says every kernel output depends only on the per-tag
 // inputs, never on the backend or its vector width — so the scalar
-// reference and the best compiled-in backend must agree bit-for-bit, and
-// the clean-round fast path and the EHPP circle split built on the kernels
-// must be invisible in the simulation metrics. The population sizes pin
-// the lane-tail edge cases: 0, 1, width-1 (pure tail), width (pure
-// vector), width+1 (vector + tail).
+// reference and each vector backend must agree bit-for-bit, and the
+// clean-round fast path and the EHPP circle split built on the kernels
+// must be invisible in the simulation metrics. The backend-equality tests
+// ask for both vector backends: the dispatcher runs the scalar reference
+// for one the build left out or the running CPU lacks, so the loop is safe
+// on any host, and an AVX-512 host still runs the AVX2 kernels. The
+// population sizes pin the lane-tail edge cases of both widths (4 and 8
+// lanes): 0, 1, width-1 (pure tail), width (pure vector), width+1 (vector
+// + tail).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -30,28 +35,21 @@
 namespace rfid {
 namespace {
 
-std::vector<std::size_t> lane_tail_sizes() {
-  const std::size_t w = simd::lanes();
-  std::vector<std::size_t> sizes{0, 1};
-  if (w > 1) {
-    sizes.push_back(w - 1);
-    sizes.push_back(w);
-    sizes.push_back(w + 1);
-  }
-  sizes.push_back(4 * w + 3);  // several full vectors plus a ragged tail
-  sizes.push_back(1000);
-  return sizes;
-}
+constexpr simd::Backend kVectorBackends[] = {simd::Backend::kAvx2,
+                                             simd::Backend::kAvx512};
+
+// 4w + 3 (19, 35) is several full vectors plus a ragged tail.
+constexpr std::size_t kLaneTailSizes[] = {0, 1, 3, 4, 5, 7, 8, 9, 19, 35, 1000};
 
 TEST(SimdKernels, BestBackendIsCompiledInAndNamed) {
   const simd::Backend best = simd::best_backend();
-  EXPECT_GE(simd::lanes(), 1u);
+  EXPECT_EQ(best, simd::best_backend());
   EXPECT_STRNE(simd::backend_name(best), "");
 }
 
 TEST(SimdKernels, HashIndicesMatchScalarAtLaneTails) {
   Xoshiro256ss rng(20260809);
-  for (const std::size_t n : lane_tail_sizes()) {
+  for (const std::size_t n : kLaneTailSizes) {
     std::vector<std::uint64_t> id_hi(n);
     std::vector<std::uint64_t> id_lo(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -61,12 +59,15 @@ TEST(SimdKernels, HashIndicesMatchScalarAtLaneTails) {
     for (const unsigned h : {0u, 1u, 5u, 12u, 30u}) {
       const std::uint64_t seed = rng();
       std::vector<std::uint32_t> scalar(n, 0xDEADBEEF);
-      std::vector<std::uint32_t> vec(n, 0xFEEDFACE);
       simd::hash_indices(seed, id_hi.data(), id_lo.data(), scalar.data(), n,
                          h, simd::Backend::kScalar);
-      simd::hash_indices(seed, id_hi.data(), id_lo.data(), vec.data(), n, h,
-                         simd::best_backend());
-      EXPECT_EQ(scalar, vec) << "n=" << n << " h=" << h;
+      for (const simd::Backend backend : kVectorBackends) {
+        std::vector<std::uint32_t> vec(n, 0xFEEDFACE);
+        simd::hash_indices(seed, id_hi.data(), id_lo.data(), vec.data(), n, h,
+                           backend);
+        EXPECT_EQ(scalar, vec) << simd::backend_name(backend) << " n=" << n
+                               << " h=" << h;
+      }
       for (const std::uint32_t idx : scalar)
         EXPECT_LT(idx, 1ull << h) << "n=" << n << " h=" << h;
     }
@@ -74,21 +75,26 @@ TEST(SimdKernels, HashIndicesMatchScalarAtLaneTails) {
 }
 
 TEST(SimdKernels, CountSingletonsMatchesScalar) {
+  // 32-bit counts: AVX2 takes 8 per vector, AVX-512 16.
   Xoshiro256ss rng(424242);
   for (const std::size_t f :
-       {std::size_t{0}, std::size_t{1}, std::size_t{15}, std::size_t{16},
-        std::size_t{17}, std::size_t{1024}}) {
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+        std::size_t{9}, std::size_t{15}, std::size_t{16}, std::size_t{17},
+        std::size_t{1024}}) {
     std::vector<std::uint32_t> counts(f);
     for (auto& c : counts) c = static_cast<std::uint32_t>(rng() % 4);
-    EXPECT_EQ(simd::count_singletons(counts.data(), f, simd::Backend::kScalar),
-              simd::count_singletons(counts.data(), f, simd::best_backend()))
-        << "f=" << f;
+    const std::size_t scalar =
+        simd::count_singletons(counts.data(), f, simd::Backend::kScalar);
+    for (const simd::Backend backend : kVectorBackends) {
+      EXPECT_EQ(scalar, simd::count_singletons(counts.data(), f, backend))
+          << simd::backend_name(backend) << " f=" << f;
+    }
   }
 }
 
 TEST(SimdKernels, CompactNonsingletonsMatchesScalarAndKeepsOrder) {
   Xoshiro256ss rng(777);
-  for (const std::size_t n : lane_tail_sizes()) {
+  for (const std::size_t n : kLaneTailSizes) {
     const std::size_t f = 16;
     std::vector<std::uint32_t> slot(n);
     std::vector<std::uint32_t> counts(f, 0);
@@ -102,25 +108,31 @@ TEST(SimdKernels, CompactNonsingletonsMatchesScalarAndKeepsOrder) {
       b[i] = rng();
       c[i] = rng();
     }
-    auto a2 = a;
-    auto b2 = b;
-    auto c2 = c;
+    auto a1 = a;
+    auto b1 = b;
+    auto c1 = c;
     const std::size_t kept_scalar =
-        simd::compact_nonsingletons(counts.data(), slot.data(), a.data(),
-                                    b.data(), c.data(), n,
+        simd::compact_nonsingletons(counts.data(), slot.data(), a1.data(),
+                                    b1.data(), c1.data(), n,
                                     simd::Backend::kScalar);
-    const std::size_t kept_vec =
-        simd::compact_nonsingletons(counts.data(), slot.data(), a2.data(),
-                                    b2.data(), c2.data(), n,
-                                    simd::best_backend());
-    ASSERT_EQ(kept_scalar, kept_vec) << "n=" << n;
-    for (std::size_t i = 0; i < kept_scalar; ++i) {
-      EXPECT_EQ(a[i], a2[i]) << "n=" << n << " i=" << i;
-      EXPECT_EQ(b[i], b2[i]) << "n=" << n << " i=" << i;
-      EXPECT_EQ(c[i], c2[i]) << "n=" << n << " i=" << i;
-    }
     for (std::size_t i = 1; i < kept_scalar; ++i)
-      EXPECT_LT(a[i - 1], a[i]) << "order not preserved at n=" << n;
+      EXPECT_LT(a1[i - 1], a1[i]) << "order not preserved at n=" << n;
+    for (const simd::Backend backend : kVectorBackends) {
+      SCOPED_TRACE(std::string(simd::backend_name(backend)) +
+                   " n=" + std::to_string(n));
+      auto a2 = a;
+      auto b2 = b;
+      auto c2 = c;
+      const std::size_t kept_vec = simd::compact_nonsingletons(
+          counts.data(), slot.data(), a2.data(), b2.data(), c2.data(), n,
+          backend);
+      ASSERT_EQ(kept_scalar, kept_vec);
+      for (std::size_t i = 0; i < kept_scalar; ++i) {
+        EXPECT_EQ(a1[i], a2[i]) << "i=" << i;
+        EXPECT_EQ(b1[i], b2[i]) << "i=" << i;
+        EXPECT_EQ(c1[i], c2[i]) << "i=" << i;
+      }
+    }
   }
 }
 
@@ -142,15 +154,15 @@ void expect_holds(const tags::TagSoA& soa,
 TEST(SimdKernels, SplitCircleMatchesPerTagReference) {
   // Lane tails, TagSoA::split_circle's chunk edges, and a population of
   // many chunks, at thresholds that admit no tag, about half and every
-  // tag. Both backends must give the reference's members and survivors in
+  // tag. Every backend must give the reference's members and survivors in
   // the reference's order.
-  const std::size_t w = simd::lanes();
   const std::size_t chunk = tags::TagSoA::kSplitChunk;
   const std::uint64_t modulus = 1u << 20;
+  std::vector<std::size_t> sizes(std::begin(kLaneTailSizes),
+                                 std::end(kLaneTailSizes));
+  sizes.insert(sizes.end(), {chunk - 1, chunk, chunk + 1, 10'000});
   Xoshiro256ss rng(20261017);
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, w - 1, w, w + 1, chunk - 1, chunk,
-        chunk + 1, std::size_t{10'000}}) {
+  for (const std::size_t n : sizes) {
     const auto pop = tags::TagPopulation::uniform_random(n, rng);
     for (const std::uint64_t threshold :
          {std::uint64_t{0}, modulus / 2, modulus}) {
@@ -164,7 +176,8 @@ TEST(SimdKernels, SplitCircleMatchesPerTagReference) {
           rest.push_back(&tag);
       }
       for (const simd::Backend backend :
-           {simd::Backend::kScalar, simd::best_backend()}) {
+           {simd::Backend::kScalar, simd::Backend::kAvx2,
+            simd::Backend::kAvx512}) {
         SCOPED_TRACE(std::string(simd::backend_name(backend)) + " n=" +
                      std::to_string(n) + " f=" + std::to_string(threshold));
         tags::TagSoA active;
@@ -246,11 +259,14 @@ void expect_identical(const sim::RunResult& x, const sim::RunResult& y) {
 }
 
 TEST(SimdEngine, BackendIsInvisibleInMetricsAtLaneTails) {
-  for (const std::size_t n : lane_tail_sizes()) {
+  for (const std::size_t n : kLaneTailSizes) {
     const auto scalar =
         drain_hpp(n, 31337 + n, simd::Backend::kScalar, false);
-    const auto vec = drain_hpp(n, 31337 + n, simd::best_backend(), false);
-    expect_identical(scalar, vec);
+    for (const simd::Backend backend : kVectorBackends) {
+      SCOPED_TRACE(std::string(simd::backend_name(backend)) +
+                   " n=" + std::to_string(n));
+      expect_identical(scalar, drain_hpp(n, 31337 + n, backend, false));
+    }
   }
 }
 
@@ -258,16 +274,19 @@ TEST(SimdEngine, EhppSplitBackendIsInvisibleInMetrics) {
   // Every circle's membership split runs on the engine's backend.
   for (const std::size_t n : {std::size_t{1000}, std::size_t{5000}}) {
     const auto scalar = drain_ehpp(n, 4242 + n, simd::Backend::kScalar);
-    const auto vec = drain_ehpp(n, 4242 + n, simd::best_backend());
-    EXPECT_GT(vec.metrics.circles, 1u);
-    expect_identical(scalar, vec);
+    EXPECT_GT(scalar.metrics.circles, 1u);
+    for (const simd::Backend backend : kVectorBackends) {
+      SCOPED_TRACE(std::string(simd::backend_name(backend)) +
+                   " n=" + std::to_string(n));
+      expect_identical(scalar, drain_ehpp(n, 4242 + n, backend));
+    }
   }
 }
 
 TEST(SimdEngine, CleanFastPathIsInvisibleInMetrics) {
   // HPP's batched rounds fold n copies of h; everything the two paths
   // account — polls, bits, clock, phases, slots — must be bit-identical.
-  for (const std::size_t n : lane_tail_sizes()) {
+  for (const std::size_t n : kLaneTailSizes) {
     SCOPED_TRACE("HPP n=" + std::to_string(n));
     const auto slow = drain_hpp(n, 90210 + n, simd::best_backend(), true);
     const auto fast = drain_hpp(n, 90210 + n, simd::best_backend(), false);
@@ -280,7 +299,8 @@ TEST(SimdEngine, TppCleanFastPathIsInvisibleInMetrics) {
   // the histogram. n = 1 is the h = 0 round (one zero-bit poll), n = 2 the
   // smallest real tree; the index-length offsets move the load factor off
   // the Eq. (15) optimum in both directions.
-  std::vector<std::size_t> sizes = lane_tail_sizes();
+  std::vector<std::size_t> sizes(std::begin(kLaneTailSizes),
+                                 std::end(kLaneTailSizes));
   sizes.push_back(2);
   for (const int offset : {0, -2, 2}) {
     for (const std::size_t n : sizes) {
