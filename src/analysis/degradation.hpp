@@ -14,9 +14,10 @@
 // *delivered* tag under a given BER and framing geometry, using the
 // closed-form protocol models (hpp/ehpp/tpp_model.hpp) for the clean-channel
 // payload and a truncated-geometric retransmission model for the channel.
-// The session's adaptive policy (sim::Session) calls select_tier() with its
-// observed corruption estimate; the math is pure (no RNG, no state), so a
-// BER-0 session computes TPP-is-cheapest and never perturbs the run.
+// ADAPT's degradation monitor (protocols/adaptive_polling.cpp) calls
+// select_tier() with the downlink's observed corruption estimate; the math
+// is pure (no RNG, no state), so a BER-0 session computes TPP-is-cheapest
+// and never perturbs the run.
 #pragma once
 
 #include <cstddef>

@@ -50,16 +50,6 @@ class Xoshiro256ss final {
   /// statistically independent streams for parallel trials.
   void jump() noexcept;
 
-  /// The four raw state words, for checkpoint/resume (sim/checkpoint.hpp).
-  /// A stream restored with set_state() continues bit-identically from
-  /// where state() was captured.
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
-    return s_;
-  }
-  void set_state(const std::array<std::uint64_t, 4>& state) noexcept {
-    s_ = state;
-  }
-
  private:
   std::array<std::uint64_t, 4> s_{};
 };

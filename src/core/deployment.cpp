@@ -107,14 +107,6 @@ std::size_t scheduled_reader(std::size_t channel, std::size_t readers,
          channels * static_cast<std::size_t>((tick - 1) % members);
 }
 
-bool tag_reaches_neighbor(const TagId& id, double zone_overlap,
-                          std::uint64_t partition_seed) {
-  DeploymentConfig config;
-  config.zone_overlap = zone_overlap;
-  config.partition_seed = partition_seed;
-  return PlacementRules(config).reaches_neighbor(id_words(id));
-}
-
 std::size_t owner_in_zone(const TagId& id, std::size_t zone,
                           const DeploymentConfig& config) {
   RFID_EXPECTS(config.readers >= 1 && zone < config.readers);
@@ -220,13 +212,12 @@ namespace detail {
 /// reboot; the active tag set survives restarts and moves wholesale on
 /// handoff (tag pointers stay valid — every session is built over the one
 /// shared population). A round's engine is built on the stack over the
-/// shard's RoundScratch, so nothing here holds the engine's buffers. The
-/// parallel-phase output slots at the bottom are written only by this
-/// reader's shard task and consumed by the serial merge, which is what
-/// keeps pooled runs byte-identical to serial ones.
+/// shard's RoundScratch and runs the shard's policy, so nothing here holds
+/// a round buffer. The parallel-phase output slots at the bottom are
+/// written only by this reader's shard task and consumed by the serial
+/// merge, which is what keeps pooled runs byte-identical to serial ones.
 struct ReaderRuntime final {
   std::unique_ptr<sim::Session> session;
-  std::unique_ptr<protocols::RoundPolicy> policy;
   fault::RecoveryCoordinator recovery;
   tags::TagSoA active;
   fault::FaultInjector faults;  ///< reader-fault stream only
@@ -290,10 +281,12 @@ Deployment::Deployment(const tags::TagPopulation& population,
   }
 
   // Shard boundaries: contiguous reader ranges, one pool task each, each
-  // with the round scratch its readers take turns on.
+  // with the round policy and round scratch its readers take turns on.
   shard_begin_.resize(shards_ + 1);
   for (std::size_t s = 0; s <= shards_; ++s)
     shard_begin_[s] = s * config_.readers / shards_;
+  for (std::size_t s = 0; s < shards_; ++s)
+    policy_.push_back(make_deployment_policy(config_.kind));
   scratch_.resize(shards_);
 
   // Initial placement: home zone by hash partition, then the ownership
@@ -343,7 +336,6 @@ void Deployment::build_session(std::size_t reader,
       derive_seed(config_.session.seed, reader), rt.incarnations);
   rt.session =
       std::make_unique<sim::Session>(*population_, std::move(session_config));
-  rt.policy = make_deployment_policy(config_.kind);
   ++rt.incarnations;
 }
 
@@ -358,11 +350,11 @@ void Deployment::fold_session(detail::ReaderRuntime& rt) {
   for (const TagId& id : result.undelivered_ids)
     report_.undelivered_ids.push_back(id);
   rt.session.reset();
-  rt.policy.reset();
 }
 
 void Deployment::run_reader_parallel(std::size_t reader,
                                      detail::ReaderRuntime& rt,
+                                     protocols::RoundPolicy& policy,
                                      protocols::RoundScratch& scratch) {
   rt.fault_event.reset();
   rt.round_ran = false;
@@ -403,7 +395,7 @@ void Deployment::run_reader_parallel(std::size_t reader,
   const std::uint64_t undelivered_before = live.undelivered;
   const std::uint64_t missing_before = live.missing;
   protocols::RoundEngine engine(*rt.session, rt.recovery, scratch);
-  rt.round_completed = engine.run_round(rt.active, *rt.policy);
+  rt.round_completed = engine.run_round(rt.active, policy);
   rt.round_ran = true;
   rt.round_time_us = live.time_us - time_before;
   // Erased = delivered + abandoned + detected-missing; subtract the loud
@@ -600,11 +592,11 @@ bool Deployment::tick() {
 
   // Parallel phase: every shard runs its readers' fault draws, churn scans
   // and scheduled rounds against reader-local state, one reader after
-  // another on the shard's round scratch. Serial ticks run the same
-  // shard loop inline.
+  // another on the shard's round policy and scratch. Serial ticks run the
+  // same shard loop inline.
   const auto run_shard = [this](std::size_t s) {
     for (std::size_t r = shard_begin_[s]; r < shard_begin_[s + 1]; ++r)
-      run_reader_parallel(r, runtime_[r], scratch_[s]);
+      run_reader_parallel(r, runtime_[r], *policy_[s], scratch_[s]);
   };
   if (pool_ != nullptr && shards_ > 1) {
     for (std::size_t s = 0; s < shards_; ++s)

@@ -49,13 +49,14 @@
 // Scale & determinism. The tick loop splits into a parallel phase — every
 // execution shard (a contiguous reader range) runs its scheduled readers'
 // rounds and churn scans one after another, touching only reader-local
-// state and the shard's one protocols::RoundScratch — and a serial merge
-// phase that applies supervision, handoffs and report folds in reader
-// index order. All cross-reader mutation is serial and reader-ordered, so
-// a run is byte-identical serial vs RFID_THREADS=N and invariant to the
-// shard count. Round buffers are per shard, not per reader: a clean
-// serial TPP drain allocates fewer times than it has readers, and its
-// fault-free ticks allocate nothing once the shard's scratch has grown
+// state and the shard's one round policy and protocols::RoundScratch — and
+// a serial merge phase that applies supervision, handoffs and report folds
+// in reader index order. All cross-reader mutation is serial and
+// reader-ordered, so a run is byte-identical serial vs RFID_THREADS=N and
+// invariant to the shard count. Round buffers are per shard, not per
+// reader or incarnation: a serial HPP or TPP drain allocates fewer times
+// than it has readers, on the clean and the per-poll path, and its
+// fault-free ticks allocate nothing once the shard's buffers have grown
 // (both gated by tests/test_alloc_guard.cpp). A long-running
 // daemon strings drains into epochs with core::DeploymentEpochs
 // (core/epochs.hpp). See docs/fleet.md and docs/architecture.md
@@ -64,6 +65,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,6 +79,7 @@
 #include "tags/population.hpp"
 
 namespace rfid::protocols {
+class RoundPolicy;
 struct RoundScratch;
 }  // namespace rfid::protocols
 
@@ -172,11 +175,6 @@ struct DeploymentReport final {
                                            std::size_t channels,
                                            std::uint64_t tick);
 
-/// True when `id` is also reachable by zone (home+1) % readers — a pure
-/// per-tag hash draw against `zone_overlap`.
-[[nodiscard]] bool tag_reaches_neighbor(const TagId& id, double zone_overlap,
-                                        std::uint64_t partition_seed);
-
 /// Ownership resolution: among the readers that can reach a tag sitting in
 /// `zone`, the one with the smallest ownership-keyed hash of the ID (ties
 /// to the lower index). With zone_overlap == 0 this is `zone` itself.
@@ -205,10 +203,10 @@ struct ChurnPosition final {
 /// The placement and churn rules above over a tag's ID words (see
 /// core::id_words and tags::TagSoA), with every per-config constant derived
 /// once: the overlap key, the event-0 churn keys and the hazard's
-/// log-survival. reader_of, tag_reaches_neighbor, owner_in_zone and
-/// churn_position are thin wrappers over these forms, the way tag_hash
-/// wraps tag_hash_words; core::Deployment keeps one instance per sweep, so
-/// its churn scan never re-derives a key or dereferences a Tag.
+/// log-survival. reader_of, owner_in_zone and churn_position are thin
+/// wrappers over these forms, the way tag_hash wraps tag_hash_words;
+/// core::Deployment keeps one instance per sweep, so its churn scan never
+/// re-derives a key or dereferences a Tag.
 class PlacementRules final {
  public:
   explicit PlacementRules(const DeploymentConfig& config) noexcept;
@@ -294,6 +292,7 @@ class Deployment final {
   void fold_session(detail::ReaderRuntime& rt);
   void build_session(std::size_t reader, detail::ReaderRuntime& rt);
   void run_reader_parallel(std::size_t reader, detail::ReaderRuntime& rt,
+                           protocols::RoundPolicy& policy,
                            protocols::RoundScratch& scratch);
   void churn_scan(std::size_t reader, detail::ReaderRuntime& rt);
   /// Consumes one unit of the tag's fleet handoff budget; false once spent.
@@ -312,8 +311,10 @@ class Deployment final {
   std::uint64_t rotation_;  ///< max readers per channel (deadline scale)
   std::string protocol_name_;
   PlacementRules rules_;
-  /// Round scratch per execution shard: its readers run one after another
-  /// inside one task, so no two threads ever share a buffer.
+  /// Round policy and round scratch per execution shard: its readers run
+  /// one after another inside one task, so no two threads ever share a
+  /// buffer, and a policy keeps nothing from one round to the next.
+  std::vector<std::unique_ptr<protocols::RoundPolicy>> policy_;
   std::vector<protocols::RoundScratch> scratch_;
   std::vector<detail::ReaderRuntime> runtime_;
   fault::ReaderSupervisor supervisor_;

@@ -79,8 +79,6 @@ void DeploymentEpochs::fill_checkpoint(sim::Checkpoint& out,
     slot.health = obs::ReaderHealth::kHealthy;
     slot.completed = completed_[r];
   }
-  // No live RNG streams: every epoch re-derives from (seed, epoch).
-  out.rng_streams.clear();
 }
 
 void DeploymentEpochs::restore(const sim::Checkpoint& checkpoint,

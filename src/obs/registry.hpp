@@ -18,8 +18,6 @@
 #include <map>
 #include <string>
 
-#include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 
@@ -61,36 +59,6 @@ class MetricsRegistry final {
  private:
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, Histogram> histograms_;
-};
-
-/// A MetricsRegistry shared across threads, e.g. one aggregate registry
-/// that several sessions (each on its own pool worker) fold into as they
-/// finish. Access is serialized by an internal annotated Mutex, so misuse
-/// is a compile error under -Wthread-safety and a data race under the TSan
-/// job rather than silent corruption.
-///
-/// Note the determinism caveat: merge() calls arrive in completion order,
-/// which is scheduling-dependent. MetricsRegistry::merge is commutative for
-/// counters and bucket counts, so totals are stable, but anything
-/// order-sensitive must keep using the per-trial registries that
-/// parallel::run_trials folds in trial order. See docs/static_analysis.md.
-class SharedRegistry final {
- public:
-  /// Folds `other` into the shared aggregate.
-  void merge(const MetricsRegistry& other) RFID_EXCLUDES(mutex_) {
-    const MutexLock lock(mutex_);
-    registry_.merge(other);
-  }
-
-  /// Copies the current aggregate out under the lock.
-  [[nodiscard]] MetricsRegistry snapshot() const RFID_EXCLUDES(mutex_) {
-    const MutexLock lock(mutex_);
-    return registry_;
-  }
-
- private:
-  mutable Mutex mutex_;
-  MetricsRegistry registry_ RFID_GUARDED_BY(mutex_);
 };
 
 /// Standard bucket layouts for the built-in air-interface histograms.

@@ -99,7 +99,7 @@ class Downlink final {
   [[nodiscard]] double estimated_ber() const noexcept;
 
   /// Downlink transmission attempts observed so far (framed attempts plus
-  /// unframed BER draws); the degradation policy's sample-count gate.
+  /// unframed BER draws); ADAPT's degradation monitor gates on it.
   [[nodiscard]] std::uint64_t attempts() const noexcept { return attempts_; }
 
  private:

@@ -1,6 +1,6 @@
 #include "protocols/adaptive_polling.hpp"
 
-#include <vector>
+#include <cstdint>
 
 #include "analysis/degradation.hpp"
 #include "fault/recovery.hpp"
@@ -8,14 +8,45 @@
 
 namespace rfid::protocols {
 
+namespace {
+
+/// Downlink corruption observations (framed attempts or unframed BER
+/// draws) the monitor waits for before it trusts the BER estimate.
+constexpr std::uint64_t kMinObservations = 16;
+
+/// The degradation monitor: prices the tiers for `unread` tags on the
+/// session's observed downlink BER and returns the tier the next round
+/// runs (analysis::select_tier: downgrade-only, default hysteresis). A
+/// downgrade bumps metrics().degradations and emits one obs kDegrade event
+/// with detail = (from_tier << 8) | to_tier. Pure math, no RNG draw, so at
+/// BER 0 it never perturbs the run.
+analysis::PollingTier next_tier(sim::Session& session, std::size_t unread,
+                                analysis::PollingTier tier) {
+  const phy::Downlink& downlink = session.downlink();
+  if (downlink.attempts() < kMinObservations) return tier;
+  const phy::FramingConfig& framing = session.config().framing;
+  analysis::ChannelModel channel;
+  channel.ber = downlink.estimated_ber();
+  channel.segment_payload_bits = framing.segment_payload_bits;
+  channel.max_attempts = 1 + framing.max_retransmissions;
+  const analysis::PollingTier next =
+      analysis::select_tier(tier, unread, channel);
+  if (next != tier) {
+    ++session.metrics().degradations;
+    const std::uint64_t detail = (static_cast<std::uint64_t>(tier) << 8) |
+                                 static_cast<std::uint64_t>(next);
+    if (session.config().tracer != nullptr)
+      session.air().trace_event(obs::EventKind::kDegrade, 0.0, 0, 0, 0, 0.0,
+                                0.0, detail);
+  }
+  return next;
+}
+
+}  // namespace
+
 sim::RunResult AdaptivePolling::run(const tags::TagPopulation& population,
                                     const sim::SessionConfig& config) const {
-  // The degradation monitor lives in the session (it sees every downlink
-  // attempt); ADAPT is the only protocol that switches it on.
-  sim::SessionConfig session_config = config;
-  session_config.degradation.enabled = true;
-  sim::Session session(population, session_config);
-
+  sim::Session session(population, config);
   tags::TagSoA active = make_devices(session);
   fault::RecoveryCoordinator recovery(config.recovery);
   RoundEngine engine(session, recovery);
@@ -23,10 +54,12 @@ sim::RunResult AdaptivePolling::run(const tags::TagPopulation& population,
   HppRoundPolicy hpp_policy(config_.hpp);
   const std::size_t subset_target = Ehpp(config_.ehpp).effective_subset_size();
 
+  analysis::PollingTier tier = analysis::PollingTier::kTpp;
   fault::RecoveryCoordinator::InitLadder ladder(config.recovery.retry_budget);
   while (!active.empty()) {
     bool round_ran = true;
-    switch (session.degradation_tier(active.size())) {
+    tier = next_tier(session, active.size(), tier);
+    switch (tier) {
       case analysis::PollingTier::kTpp:
         round_ran = engine.run_round(active, tpp_policy);
         break;

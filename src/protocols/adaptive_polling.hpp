@@ -3,12 +3,13 @@
 // TPP is the paper's fastest protocol on a clean channel, but its densely
 // packed differential tree is the most fragile under downlink bit errors:
 // one corrupted chunk strands many tags at once. ADAPT starts as TPP and
-// monitors the observed corruption rate through the session's framing
-// layer; when the analytical cost-per-delivered-tag model
-// (analysis/degradation.hpp) says a simpler protocol is cheaper on the
-// estimated channel, it falls back TPP -> EHPP -> HPP mid-session. The
-// ladder is downgrade-only with hysteresis, and at BER 0 the policy never
-// triggers, so a clean-channel ADAPT run is byte-identical to TPP.
+// monitors the corruption rate the session's downlink observes; when the
+// analytical cost-per-delivered-tag model (analysis/degradation.hpp) says
+// a simpler protocol is cheaper on the estimated channel, it falls back
+// TPP -> EHPP -> HPP mid-session. The monitor and its tier live in
+// AdaptivePolling::run, the one place that acts on them. The ladder is
+// downgrade-only with hysteresis, and at BER 0 the policy never triggers,
+// so a clean-channel ADAPT run is byte-identical to TPP.
 #pragma once
 
 #include "protocols/enhanced_hash_polling.hpp"

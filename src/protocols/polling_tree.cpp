@@ -86,25 +86,17 @@ std::vector<TreeSegment> PollingTree::segments_from_indices(
   std::vector<std::uint32_t> sorted(indices.begin(), indices.end());
   std::sort(sorted.begin(), sorted.end());
   std::vector<TreeSegment> out;
-  segments_from_indices_into(sorted, h, out);
-  return out;
-}
-
-void PollingTree::segments_from_indices_into(
-    std::span<const std::uint32_t> indices, unsigned h,
-    std::vector<TreeSegment>& out) {
-  out.clear();
-  out.reserve(indices.size());
+  out.reserve(sorted.size());
   std::uint32_t previous = 0;
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    const std::uint32_t index = indices[j];
-    RFID_EXPECTS((j == 0 || previous < index) &&
-                 "singleton indices must be strictly ascending");
+  for (std::size_t j = 0; j < sorted.size(); ++j) {
+    const std::uint32_t index = sorted[j];
+    RFID_EXPECTS((j == 0 || previous < index) && "duplicate singleton index");
     const unsigned k = tree_segment_length(j == 0, previous, index, h);
     const std::uint32_t mask = (k >= 32) ? ~0u : ((1u << k) - 1u);
     out.push_back(TreeSegment{index & mask, k, index});
     previous = index;
   }
+  return out;
 }
 
 std::vector<std::uint32_t> PollingTree::decode_segment_stream(

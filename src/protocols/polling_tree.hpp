@@ -61,17 +61,10 @@ class PollingTree final {
 
   /// Independent construction of the same segments straight from the index
   /// list (any order; it is sorted first), without building a trie. Used to
-  /// cross-validate segments().
+  /// cross-validate segments(). Duplicate indices are a precondition
+  /// violation, as for the trie.
   [[nodiscard]] static std::vector<TreeSegment> segments_from_indices(
       std::span<const std::uint32_t> indices, unsigned h);
-
-  /// Same construction over strictly ascending `indices` (a precondition,
-  /// which also rules out duplicates) into caller-owned `out` (cleared,
-  /// refilled, keeps its capacity), so a per-round caller that reads the
-  /// indices off its bucket histogram allocates nothing in steady state.
-  static void segments_from_indices_into(
-      std::span<const std::uint32_t> indices, unsigned h,
-      std::vector<TreeSegment>& out);
 
   /// The paper's Eq. (7): maximal node count of a trie with m leaves of
   /// height h (tree bifurcates as early as possible).

@@ -56,7 +56,6 @@ bool RoundEngine::run_round(tags::TagSoA& active, RoundPolicy& policy) {
   // rfidlint: allow(hotpath-alloc) — shrinks with the active set after round 1; test_alloc_guard pins zero steady-state allocs
   scratch_.done.assign(active.size(), 0);
   scratch_.pending.clear();
-  scratch_.singletons.clear();
   scratch_.chunk.clear();
   policy.dispatch(*this, active);
 
@@ -78,12 +77,7 @@ void RoundEngine::run_clean_polls(tags::TagSoA& active,
   // recovery enabled nothing can be parked, and mop_up over an empty
   // pending list is a no-op by contract.
   const std::size_t n = active.size();
-  // At most one poll per tag. Reserving for n, not for this round's
-  // singletons, keeps later rounds from growing the buffer: the active
-  // count only falls during a drain, while the singleton count can rise.
   std::vector<std::uint8_t>& poll_bits = scratch_.poll_bits;
-  // rfidlint: allow(hotpath-alloc) — scratch reaches steady capacity in round 1; test_alloc_guard pins zero steady-state allocs
-  poll_bits.reserve(n);
   const std::size_t leaves =
       addressing == Addressing::kTreeSegment ? tree_segment_lengths(n) : 0;
   active.compact_singletons(scratch_.counts, hash_backend_);
@@ -91,6 +85,10 @@ void RoundEngine::run_clean_polls(tags::TagSoA& active,
   if (addressing == Addressing::kTreeSegment) {
     RFID_ENSURES(leaves == singletons);
   } else {
+    // At most one poll per tag; see tree_segment_lengths for why the
+    // reserve is for n.
+    // rfidlint: allow(hotpath-alloc) — scratch reaches steady capacity in round 1; test_alloc_guard pins zero steady-state allocs
+    poll_bits.reserve(n);
     // rfidlint: allow(hotpath-alloc) — scratch reaches steady capacity in round 1; test_alloc_guard pins zero steady-state allocs
     poll_bits.assign(singletons, static_cast<std::uint8_t>(h_));
   }
@@ -115,10 +113,14 @@ std::size_t RoundEngine::tree_segment_lengths(std::size_t n) {
   }
 
   // Pass 2 — each leaf's segment length, checked against the h-bit
-  // register A every listening tag maintains (see TppRoundPolicy::
-  // dispatch): the segment overwrites the low k bits of A, which holds the
-  // previous leaf, and must complete exactly this leaf.
+  // register A every listening tag maintains: the segment overwrites the
+  // low k bits of A, which holds the previous leaf, and must complete
+  // exactly this leaf. At most one leaf per tag. Reserving for n, not for
+  // this round's leaves, keeps later rounds from growing the buffer: the
+  // active count only falls during a drain, while the leaf count can rise.
   std::vector<std::uint8_t>& poll_bits = scratch_.poll_bits;
+  // rfidlint: allow(hotpath-alloc) — scratch reaches steady capacity in round 1; test_alloc_guard pins zero steady-state allocs
+  poll_bits.reserve(n);
   // rfidlint: allow(hotpath-alloc) — scratch reaches steady capacity in round 1; test_alloc_guard pins zero steady-state allocs
   poll_bits.resize(leaves);
   std::uint32_t previous = 0;

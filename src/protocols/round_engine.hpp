@@ -111,12 +111,13 @@ struct RoundScratch final {
   std::vector<std::size_t> occupant;
   std::vector<char> done;
   std::vector<std::size_t> pending;
-  /// Singleton indices in ascending order (TPP's per-poll tree build, the
-  /// engine's clean TPP walk).
+  /// The polling tree's leaves, in ascending index order, at the front
+  /// (the TPP walk, RoundEngine::tree_segment_lengths).
   std::vector<std::uint32_t> singletons;
   /// TPP's framed tree chunks.
   std::vector<std::size_t> chunk;
-  /// Per-poll vector lengths of a clean round, in dispatch order.
+  /// Per-poll vector lengths in dispatch order: each leaf's segment after
+  /// the TPP walk, each poll's h after a clean HPP round.
   std::vector<std::uint8_t> poll_bits;
   /// EHPP's circle members: run_ehpp_circle splits into it and drains it.
   tags::TagSoA subset;
@@ -179,10 +180,6 @@ class RoundEngine final {
   [[nodiscard]] bool recovering() const noexcept { return recovery_.active(); }
   /// h of the running round.
   [[nodiscard]] unsigned index_length() const noexcept { return h_; }
-  /// Per-index pick counts (size 2^h) of the running round.
-  [[nodiscard]] const std::vector<std::uint32_t>& counts() const noexcept {
-    return scratch_.counts;
-  }
   /// Last device index that picked each bucket; meaningful where the
   /// count is 1 (the singleton's occupant). Filled only on the per-poll
   /// dispatch path — the clean-round fast path never consults it (nor
@@ -196,11 +193,19 @@ class RoundEngine final {
   [[nodiscard]] std::vector<std::size_t>& pending() noexcept {
     return scratch_.pending;
   }
-  /// Round-scoped scratch for the singleton index list (TPP's per-poll
-  /// tree build; the engine's own clean TPP walk). Cleared by the engine
-  /// before dispatch.
-  [[nodiscard]] std::vector<std::uint32_t>& singleton_scratch() noexcept {
+  /// The TPP walk: reads the round's polling tree off the bucket histogram
+  /// of `n` tags. Returns the leaf count m, puts the leaves (the singleton
+  /// buckets in ascending index order, the tree's pre-order leaf order) in
+  /// the first m entries of singletons() and each leaf's segment length in
+  /// poll_bits(), and checks every segment against the h-bit register each
+  /// listening tag keeps. The clean-round fast path and TPP's per-poll
+  /// dispatch both call it, so TPP has one segment rule.
+  std::size_t tree_segment_lengths(std::size_t n);
+  [[nodiscard]] const std::vector<std::uint32_t>& singletons() const noexcept {
     return scratch_.singletons;
+  }
+  [[nodiscard]] const std::vector<std::uint8_t>& poll_bits() const noexcept {
+    return scratch_.poll_bits;
   }
   /// Round-scoped scratch for policies that chunk the dispatch (TPP's
   /// framed tree chunks). Cleared by the engine before dispatch.
@@ -224,13 +229,6 @@ class RoundEngine final {
   /// singleton's vector length in dispatch order, compacts `active` off the
   /// histogram, and folds the polls' accounting in one AirLoop call.
   void run_clean_polls(tags::TagSoA& active, Addressing addressing);
-
-  /// The TPP half of run_clean_polls: collects the leaves of the round's
-  /// polling tree (the singleton buckets of the histogram of `n` tags, in
-  /// ascending order) and fills poll_bits with each leaf's segment
-  /// length, replaying the shared tag register as the per-poll tree
-  /// dispatch does. Returns the leaf count.
-  std::size_t tree_segment_lengths(std::size_t n);
 
   /// End-of-round mop-up: hands the parked device indices to the recovery
   /// coordinator, re-polling each with the full h_-bit absolute index

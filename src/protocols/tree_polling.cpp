@@ -1,11 +1,11 @@
 #include "protocols/tree_polling.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "analysis/tpp_model.hpp"
 #include "common/error.hpp"
-#include "common/math_util.hpp"
 #include "fault/recovery.hpp"
 #include "protocols/polling_tree.hpp"
 
@@ -34,40 +34,29 @@ void TppRoundPolicy::dispatch(RoundEngine& engine, tags::TagSoA& active) {
   sim::Session& session = engine.session();
   const bool recovering = engine.recovering();
   const unsigned h = engine.index_length();
-  const std::size_t f = engine.counts().size();
   const std::vector<std::size_t>& occupant = engine.occupant();
   std::vector<char>& done = engine.done();
   std::vector<std::size_t>& pending = engine.pending();
 
-  // Ascending bucket order is already the tree's pre-order leaf order.
-  // Both buffers are reserved for every active tag, not for this round's
-  // singletons: the active count only falls during a drain, while the
-  // singleton count can rise, so later rounds never regrow them.
-  std::vector<std::uint32_t>& singleton_indices = engine.singleton_scratch();
-  singleton_indices.reserve(active.size());
-  segments_.reserve(active.size());
-  for (std::size_t idx = 0; idx < f; ++idx)
-    if (engine.counts()[idx] == 1)
-      singleton_indices.push_back(static_cast<std::uint32_t>(idx));
-
-  if (singleton_indices.empty()) return;  // rare; retry with a new seed
-
-  // Phase 2 — building the polling tree. The sorted-index differential
-  // encoding is the fast path; the explicit trie is the reference.
-  PollingTree::segments_from_indices_into(singleton_indices, h, segments_);
-  const std::vector<TreeSegment>& segments = segments_;
+  // Phase 2 — the polling tree, read off the bucket histogram by the same
+  // walk the clean-round fast path runs: its leaves in pre-order and each
+  // leaf's segment length. The explicit trie is the reference.
+  const std::size_t leaves = engine.tree_segment_lengths(active.size());
+  if (leaves == 0) return;  // rare; retry with a new seed
+  const std::uint32_t* const leaf = engine.singletons().data();
+  const std::uint8_t* const length = engine.poll_bits().data();
   if (config_.cross_check_tree) {
-    const PollingTree tree(singleton_indices, h);
+    const PollingTree tree(std::span(leaf, leaves), h);
     const std::vector<TreeSegment> reference = tree.segments();
-    RFID_ENSURES(reference.size() == segments.size());
-    for (std::size_t j = 0; j < segments.size(); ++j) {
-      RFID_ENSURES(reference[j].bits == segments[j].bits);
-      RFID_ENSURES(reference[j].length == segments[j].length);
-      RFID_ENSURES(reference[j].completed_index ==
-                   segments[j].completed_index);
-    }
+    RFID_ENSURES(reference.size() == leaves);
     std::size_t broadcast_bits = 0;
-    for (const TreeSegment& s : segments) broadcast_bits += s.length;
+    for (std::size_t j = 0; j < leaves; ++j) {
+      const unsigned k = length[j];
+      RFID_ENSURES(reference[j].completed_index == leaf[j]);
+      RFID_ENSURES(reference[j].length == k);
+      RFID_ENSURES(reference[j].bits == (leaf[j] & ((1u << k) - 1u)));
+      broadcast_bits += k;
+    }
     RFID_ENSURES(broadcast_bits == tree.node_count());
   }
 
@@ -82,15 +71,14 @@ void TppRoundPolicy::dispatch(RoundEngine& engine, tags::TagSoA& active) {
         session.config().framing.segment_payload_bits, h);
     std::vector<std::size_t>& chunk = engine.chunk_scratch();
     std::size_t j = 0;
-    while (j < segments.size()) {
+    while (j < leaves) {
       chunk.clear();
-      chunk.push_back(occupant[segments[j].completed_index]);
+      chunk.push_back(occupant[leaf[j]]);
       std::size_t chunk_bits = h;
       std::size_t k = j + 1;
-      while (k < segments.size() &&
-             chunk_bits + segments[k].length <= cap) {
-        chunk_bits += segments[k].length;
-        chunk.push_back(occupant[segments[k].completed_index]);
+      while (k < leaves && chunk_bits + length[k] <= cap) {
+        chunk_bits += length[k];
+        chunk.push_back(occupant[leaf[k]]);
         ++k;
       }
       const bool delivered =
@@ -123,29 +111,22 @@ void TppRoundPolicy::dispatch(RoundEngine& engine, tags::TagSoA& active) {
       j = k;
     }
   } else {
-    // Phase 3, unframed — tree-based polling. `reg` is the h-bit register A
-    // every listening tag maintains; one shared value models all of them
-    // because the updates are broadcast. That sharing is exactly why a
-    // single BER flip is catastrophic here: once a segment is corrupted the
-    // common register diverges from the reader's bookkeeping and every
-    // later segment of the round polls an index nobody holds.
-    std::uint32_t reg = 0;
+    // Phase 3, unframed — tree-based polling. Every listening tag keeps
+    // the h-bit register A, and the walk checked that each segment turns
+    // A into its leaf. All tags share A because the updates are
+    // broadcast. That sharing is exactly why a single BER flip is
+    // catastrophic here: once a segment is corrupted the common register
+    // diverges from the reader's bookkeeping and every later segment of
+    // the round polls an index nobody holds.
     bool desynced = false;
-    for (const TreeSegment& segment : segments) {
-      const std::uint32_t keep_mask =
-          (segment.length >= 32) ? 0u : (~0u << segment.length);
-      reg = (reg & keep_mask & ((f > 1) ? static_cast<std::uint32_t>(f - 1)
-                                        : 0u)) |
-            segment.bits;
-      RFID_ENSURES(reg == segment.completed_index);
-
-      const std::size_t i = occupant[reg];
+    for (std::size_t j = 0; j < leaves; ++j) {
+      const std::size_t i = occupant[leaf[j]];
       const tags::Tag* tag = active.tag(i);
       if (desynced) {
         // Stranded: the reader transmits the segment and waits out the
         // silence; the tag (whose register is garbage) stays awake for the
         // next round or the mop-up.
-        session.air().poll_unanswered(segment.length);
+        session.air().poll_unanswered(length[j]);
         if (recovering) pending.push_back(i);
         continue;
       }
@@ -154,8 +135,8 @@ void TppRoundPolicy::dispatch(RoundEngine& engine, tags::TagSoA& active) {
       // leaves), so the responder set is the singleton occupant.
       const bool here = session.is_present(tag->id());
       const tags::Tag* responder = tag;
-      const tags::Tag* read = session.air().poll(
-          {&responder, here ? 1u : 0u}, tag, segment.length);
+      const tags::Tag* read =
+          session.air().poll({&responder, here ? 1u : 0u}, tag, length[j]);
       if (read != nullptr) {
         done[i] = 1;
       } else {

@@ -20,7 +20,6 @@
 #include "fault/recovery.hpp"
 #include "phy/commands.hpp"
 #include "protocols/hash_polling.hpp"
-#include "protocols/polling_tree.hpp"
 #include "protocols/protocol.hpp"
 #include "protocols/round_engine.hpp"
 
@@ -59,14 +58,16 @@ inline Tpp::Tpp() : config_(Config()) {}
 
 /// The TPP round policy: Eq. (15)-optimal index length, raw 64-bit seed,
 /// and the differential polling-tree dispatch (run as one RoundEngine round
-/// by Tpp::run and by ADAPT's fastest tier).
+/// by Tpp::run and by ADAPT's fastest tier). It keeps nothing between
+/// rounds; its round buffers are the engine's.
 ///
-/// On a clean channel (sim::Session::clean_poll_fast_path) the engine runs
-/// the round itself: the init's Addressing::kTreeSegment tells it to read
-/// each leaf's segment length off the bucket histogram and fold the polls
-/// in one batched call, so dispatch() is not called. dispatch() serves the
-/// framed, noisy, churned, presence-filtered, traced and record-keeping
-/// runs, and every round of a run that cross-checks the tree.
+/// Both paths read the tree through RoundEngine::tree_segment_lengths. On
+/// a clean channel (sim::Session::clean_poll_fast_path) the engine runs
+/// the round itself: the init's Addressing::kTreeSegment tells it to walk
+/// the tree and fold the polls in one batched call, so dispatch() is not
+/// called. dispatch() serves the framed, noisy, churned,
+/// presence-filtered, traced and record-keeping runs, and every round of
+/// a run that cross-checks the tree.
 ///
 /// With the session's framing layer on, the pre-order tree is packed into
 /// CRC-framed chunks of at most segment_payload_bits; each chunk opens with
@@ -92,9 +93,6 @@ class TppRoundPolicy final : public RoundPolicy {
 
  private:
   Tpp::Config config_;
-  /// Pre-order segments; reused across rounds so steady-state dispatch
-  /// stays allocation-free (gated by test_alloc_guard).
-  std::vector<TreeSegment> segments_;
 };
 
 }  // namespace rfid::protocols

@@ -106,13 +106,6 @@ class Cursor final {
 
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
 
-  [[nodiscard]] std::string str(std::size_t n) {
-    need(n);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
   [[nodiscard]] bool exhausted() const noexcept {
     return pos_ == bytes_.size();
   }
@@ -196,15 +189,7 @@ void encode_into(const Checkpoint& checkpoint, std::vector<std::uint8_t>& out) {
     put_u8(out, static_cast<std::uint8_t>(reader.health));
     put_metrics(out, reader.completed);
   }
-  put_u32(out, static_cast<std::uint32_t>(checkpoint.rng_streams.size()));
-  for (const NamedRngState& stream : checkpoint.rng_streams) {
-    if (stream.name.size() > 255)
-      throw std::runtime_error("checkpoint: RNG stream name too long");
-    put_u8(out, static_cast<std::uint8_t>(stream.name.size()));
-    // rfidlint: allow(hotpath-alloc) — warm encodes reuse `out` capacity; test_checkpoint pins the zero-alloc warm path
-    out.insert(out.end(), stream.name.begin(), stream.name.end());
-    for (const std::uint64_t word : stream.state) put_u64(out, word);
-  }
+  put_u32(out, 0);  // reserved
 
   // Backfill CRC and payload size now the payload exists.
   const std::span<const std::uint8_t> payload{out.data() + payload_at,
@@ -250,8 +235,9 @@ Checkpoint decode(std::span<const std::uint8_t> bytes) {
   checkpoint.master_seed = in.u64();
   checkpoint.wall_unix_ms = in.u64();
   checkpoint.epoch_target = in.u64();
+  // Nothing is reserved from the count: a forged count the payload cannot
+  // hold ends in the truncation error, not in a huge allocation.
   const std::uint32_t reader_count = in.u32();
-  checkpoint.readers.reserve(reader_count);
   for (std::uint32_t r = 0; r < reader_count; ++r) {
     ReaderCheckpoint reader;
     reader.epochs = in.u64();
@@ -264,14 +250,8 @@ Checkpoint decode(std::span<const std::uint8_t> bytes) {
     reader.completed = read_metrics(in);
     checkpoint.readers.push_back(std::move(reader));
   }
-  const std::uint32_t stream_count = in.u32();
-  checkpoint.rng_streams.reserve(stream_count);
-  for (std::uint32_t s = 0; s < stream_count; ++s) {
-    NamedRngState stream;
-    stream.name = in.str(in.u8());
-    for (std::uint64_t& word : stream.state) word = in.u64();
-    checkpoint.rng_streams.push_back(std::move(stream));
-  }
+  if (in.u32() != 0)
+    throw std::runtime_error("checkpoint: nonzero reserved word");
   if (!in.exhausted())
     throw std::runtime_error("checkpoint: trailing bytes after payload");
   return checkpoint;

@@ -9,17 +9,18 @@
 //     Metrics of those epochs, incident counters, and health — the folds
 //     are a pure function of (seed, epoch count), which is the invariant
 //     that makes "kill, resume, compare" byte-identical (epochs in flight
-//     at the kill are simply replayed from their epoch boundary);
-//   * every named RNG stream the loop owns, as raw xoshiro state words,
-//     restored with Xoshiro256ss::set_state;
+//     at the kill are simply replayed from their epoch boundary), so no
+//     RNG state is stored: every epoch re-derives its streams;
 //   * a caller-computed config fingerprint, so a checkpoint is never
 //     resumed against a different protocol/population/fault plan.
 //
 // Format: a little-endian binary blob — magic, version, CRC-16/CCITT over
-// the payload, then the payload — decoded with full bounds checks. Torn
-// writes cannot happen: write_checkpoint_atomic writes <path>.tmp, fsyncs,
-// and renames over <path>, so the file either holds the previous checkpoint
-// or the complete new one. Corruption is detected by the CRC and reported
+// the payload, then the payload — decoded with full bounds checks. The
+// payload ends in a reserved u32 that must be 0 (version 1 once counted
+// RNG streams there and never wrote any). Torn writes cannot happen:
+// write_checkpoint_atomic writes <path>.tmp, fsyncs, and renames over
+// <path>, so the file either holds the previous checkpoint or the
+// complete new one. Corruption is detected by the CRC and reported
 // loudly (decode throws); a missing file just means "fresh start".
 //
 // Determinism: nothing here reads a clock — the wall timestamp embedded in
@@ -28,7 +29,6 @@
 // steady-state snapshots allocate nothing once warm.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -51,12 +51,6 @@ struct ReaderCheckpoint final {
   obs::Metrics completed{};  ///< bit-exact fold of the completed epochs
 };
 
-/// Raw state of one named RNG stream (Xoshiro256ss::state()).
-struct NamedRngState final {
-  std::string name;
-  std::array<std::uint64_t, 4> state{};
-};
-
 struct Checkpoint final {
   /// Caller-computed digest of everything that shapes the run (protocol,
   /// population, seed, fault plan, epoch target). decode() returns it
@@ -68,7 +62,6 @@ struct Checkpoint final {
   std::uint64_t wall_unix_ms = 0;
   std::uint64_t epoch_target = 0;  ///< per-reader epoch goal of the run
   std::vector<ReaderCheckpoint> readers;
-  std::vector<NamedRngState> rng_streams;
 };
 
 /// Chained 64-bit fingerprint step (splitmix64-based): fold each
@@ -82,8 +75,9 @@ void encode_into(const Checkpoint& checkpoint, std::vector<std::uint8_t>& out);
 [[nodiscard]] std::vector<std::uint8_t> encode(const Checkpoint& checkpoint);
 
 /// Parses a blob produced by encode. Throws std::runtime_error on bad
-/// magic, unsupported version, CRC mismatch, or truncation — a corrupt
-/// checkpoint is refused loudly, never half-restored.
+/// magic, unsupported version, CRC mismatch, truncation (a reader count
+/// the payload cannot hold included) or a nonzero reserved word — a
+/// corrupt checkpoint is refused loudly, never half-restored.
 [[nodiscard]] Checkpoint decode(std::span<const std::uint8_t> bytes);
 
 /// Writes `bytes` to <path>.tmp, fsyncs, and renames over <path> (atomic on

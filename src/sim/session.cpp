@@ -29,27 +29,6 @@ Session::Session(const tags::TagPopulation& population, SessionConfig config)
   if (config_.keep_records) records_.reserve(population.size());
 }
 
-analysis::PollingTier Session::degradation_tier(std::size_t active_count) {
-  if (!config_.degradation.enabled) return tier_;
-  if (downlink_.attempts() < config_.degradation.min_observations)
-    return tier_;
-  analysis::ChannelModel channel;
-  channel.ber = downlink_.estimated_ber();
-  channel.segment_payload_bits = config_.framing.segment_payload_bits;
-  channel.max_attempts = 1 + config_.framing.max_retransmissions;
-  const analysis::PollingTier next = analysis::select_tier(
-      tier_, active_count, channel, config_.degradation.hysteresis);
-  if (next != tier_) {
-    ++metrics_.degradations;
-    if (config_.tracer != nullptr)
-      air_.trace_event(obs::EventKind::kDegrade, 0.0, 0, 0, 0, 0.0, 0.0,
-                       (static_cast<std::uint64_t>(tier_) << 8) |
-                           static_cast<std::uint64_t>(next));
-    tier_ = next;
-  }
-  return tier_;
-}
-
 void Session::begin_round() {
   ++metrics_.rounds;
   if (injector_.churn_active()) injector_.advance_to_round(metrics_.rounds);

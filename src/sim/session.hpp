@@ -10,11 +10,12 @@
 //    their own layers, and reach the session through its narrow surface)
 //
 // The Session itself keeps only the cross-cutting concerns: run lifecycle
-// (rounds/circles/finish), adaptive degradation, and the two interfaces the
-// lower/upper layers report through — phy::AirtimeSink (downlink bit and
-// airtime accounting) and fault::RecoveryHost (recovery-phase attribution
-// and undelivered reporting). A protocol implementation is then a pure
-// algorithm over session.air() and session.downlink().
+// (rounds/circles/finish) and the two interfaces the lower/upper layers
+// report through — phy::AirtimeSink (downlink bit and airtime accounting)
+// and fault::RecoveryHost (recovery-phase attribution and undelivered
+// reporting). A protocol implementation is then a pure algorithm over
+// session.air() and session.downlink(); protocol state, such as ADAPT's
+// degradation tier, lives with its protocol.
 // See docs/architecture.md for the layer diagram and charging rules.
 #pragma once
 
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "air/channel.hpp"
-#include "analysis/degradation.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "fault/recovery.hpp"
@@ -98,18 +98,6 @@ class Session final : private phy::AirtimeSink, public fault::RecoveryHost {
   void recovery_phase_begin() override { air_.set_in_recovery(true); }
   void recovery_phase_end() override { air_.set_in_recovery(false); }
 
-  // --- Adaptive degradation -------------------------------------------------
-
-  /// Evaluates the degradation policy for `active_count` still-unread tags
-  /// and returns the tier the protocol should run next. With the policy
-  /// disabled (default) or before min_observations corruption samples, the
-  /// current tier is returned unchanged. A downgrade bumps
-  /// metrics().degradations and emits one obs kDegrade event with
-  /// detail = (from_tier << 8) | to_tier. Pure math — no RNG draw — so an
-  /// enabled policy at BER 0 never perturbs the run.
-  [[nodiscard]] analysis::PollingTier degradation_tier(
-      std::size_t active_count);
-
   // --- Round/circle bookkeeping ---------------------------------------------
 
   void begin_round();
@@ -166,7 +154,6 @@ class Session final : private phy::AirtimeSink, public fault::RecoveryHost {
   std::vector<TagId> missing_ids_;
   std::vector<TagId> undelivered_ids_;
   std::vector<RoundSnapshot> trace_;
-  analysis::PollingTier tier_ = analysis::PollingTier::kTpp;
   // Layered components; both borrow the members above, so they are
   // declared (and constructed) last.
   phy::Downlink downlink_;

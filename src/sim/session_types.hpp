@@ -28,21 +28,6 @@ namespace rfid::sim {
 /// obs::Metrics are one type, not a copy.
 using Metrics = obs::Metrics;
 
-/// Adaptive protocol-degradation policy (the TPP -> EHPP -> HPP ladder of
-/// analysis/degradation.hpp). Evaluated by protocols that opt in (ADAPT)
-/// through Session::degradation_tier; pure math on observed corruption
-/// statistics, so an enabled policy never perturbs the RNG streams and is a
-/// strict no-op at BER 0.
-struct DegradationConfig final {
-  bool enabled = false;
-  /// Downlink corruption observations (framed attempts or unframed BER
-  /// draws) required before the estimate is trusted.
-  std::uint64_t min_observations = 16;
-  /// Cost advantage a lower tier must show before the session downgrades
-  /// (guards against estimate noise; see analysis::select_tier).
-  double hysteresis = 1.05;
-};
-
 /// Per-run configuration shared by all protocols.
 struct SessionConfig final {
   std::size_t info_bits = 1;     ///< l: payload bits collected per tag
@@ -84,8 +69,6 @@ struct SessionConfig final {
   /// with bounded retransmission, making downlink corruption detectable
   /// per segment instead of desynchronizing whole rounds.
   phy::FramingConfig framing{};
-  /// Adaptive TPP -> EHPP -> HPP degradation policy (see above).
-  DegradationConfig degradation{};
 };
 
 /// Cumulative snapshot taken at the start of each round/frame.

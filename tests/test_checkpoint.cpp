@@ -1,7 +1,7 @@
 // Crash-consistent checkpoint/resume: the binary codec (roundtrip, CRC
-// rejection, truncation, atomic write), and the end-to-end epoch-ledger
-// invariant (core/epochs.hpp) — killing a run at an arbitrary point and
-// resuming from the last epoch-boundary checkpoint converges on
+// rejection, truncation, forged counts, atomic write), and the end-to-end
+// epoch-ledger invariant (core/epochs.hpp) — killing a run at an arbitrary
+// point and resuming from the last epoch-boundary checkpoint converges on
 // byte-identical final metrics, with and without injected reader crashes.
 #include <gtest/gtest.h>
 
@@ -10,10 +10,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/crc.hpp"
 #include "core/deployment.hpp"
 #include "core/epochs.hpp"
 #include "obs/stream.hpp"
@@ -53,9 +55,25 @@ sim::Checkpoint sample_checkpoint() {
   checkpoint.readers[0].completed.phases.add(obs::Phase::kRecovery, 9.5);
   checkpoint.readers[1].epochs = 4;
   checkpoint.readers[1].completed.polls = 1234;
-  checkpoint.rng_streams.push_back(
-      {"churn_rng", {0x1111, 0x2222, 0x3333, 0x4444}});
   return checkpoint;
+}
+
+/// Byte offsets of the header's CRC word, the payload, and the payload's
+/// reader count (after four u64 fields).
+constexpr std::size_t kCrcAt = 12;
+constexpr std::size_t kPayloadAt = 24;
+constexpr std::size_t kReaderCountAt = kPayloadAt + 32;
+
+/// Writes `value` as a little-endian u32 at `at`, then recomputes the CRC,
+/// so the forged blob passes the integrity check and reaches the parser.
+void forge_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
+               std::uint32_t value) {
+  for (std::size_t i = 0; i < 4; ++i)
+    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  const std::uint32_t crc =
+      crc16_ccitt(std::span<const std::uint8_t>(bytes).subspan(kPayloadAt));
+  for (std::size_t i = 0; i < 4; ++i)
+    bytes[kCrcAt + i] = static_cast<std::uint8_t>(crc >> (8 * i));
 }
 
 TEST(CheckpointCodec, EncodeDecodeRoundtrip) {
@@ -77,9 +95,6 @@ TEST(CheckpointCodec, EncodeDecodeRoundtrip) {
   EXPECT_EQ(decoded.readers[0].completed.phases.get(obs::Phase::kRecovery),
             9.5);
   EXPECT_EQ(decoded.readers[1].completed.polls, 1234u);
-  ASSERT_EQ(decoded.rng_streams.size(), 1u);
-  EXPECT_EQ(decoded.rng_streams[0].name, "churn_rng");
-  EXPECT_EQ(decoded.rng_streams[0].state[3], 0x4444u);
 
   // Re-encoding the decoded struct reproduces the exact bytes: the codec
   // loses nothing and has one canonical form.
@@ -113,6 +128,16 @@ TEST(CheckpointCodec, CorruptionIsRefusedLoudly) {
     std::vector<std::uint8_t> corrupt = bytes;
     corrupt[8] = 0xEE;
     EXPECT_THROW((void)sim::decode(corrupt), std::runtime_error);
+  }
+  {  // CRC-valid forged reader count: truncation, not a huge reserve.
+    std::vector<std::uint8_t> forged = bytes;
+    forge_u32(forged, kReaderCountAt, 0xFFFFFFFFu);
+    EXPECT_THROW((void)sim::decode(forged), std::runtime_error);
+  }
+  {  // CRC-valid nonzero reserved word (the payload's last u32).
+    std::vector<std::uint8_t> forged = bytes;
+    forge_u32(forged, forged.size() - 4, 0xFFFFFFFFu);
+    EXPECT_THROW((void)sim::decode(forged), std::runtime_error);
   }
   // Truncation at every boundary: never a crash, never a half-restore.
   for (std::size_t len = 0; len < bytes.size(); len += 7) {

@@ -126,8 +126,7 @@ TEST(Ownership, ResolvesWithinReachDeterministically) {
       // Rehoming is only legal to the overlapping neighbor, and only for
       // tags the overlap draw actually reaches.
       EXPECT_EQ(owner, (zone + 1) % config.readers);
-      EXPECT_TRUE(tag_reaches_neighbor(tag.id(), config.zone_overlap,
-                                       config.partition_seed));
+      EXPECT_TRUE(PlacementRules(config).reaches_neighbor(id_words(tag.id())));
       ++rehomed;
     }
   }
@@ -142,7 +141,7 @@ TEST(Ownership, ZeroOverlapIsTheLegacyPartition) {
   config.readers = 5;
   config.zone_overlap = 0.0;
   for (const tags::Tag& tag : pop) {
-    EXPECT_FALSE(tag_reaches_neighbor(tag.id(), 0.0, config.partition_seed));
+    EXPECT_FALSE(PlacementRules(config).reaches_neighbor(id_words(tag.id())));
     for (std::size_t zone = 0; zone < config.readers; ++zone)
       EXPECT_EQ(owner_in_zone(tag.id(), zone, config), zone);
   }
