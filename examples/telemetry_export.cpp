@@ -63,9 +63,8 @@ int main(int argc, char** argv) {
   config.keep_trace = true;
   config.keep_records = false;
 
-  // The tracer must outlive the run; the sink flushes on session finish.
+  // The sink must outlive the run; it flushes on session finish.
   std::optional<obs::JsonlSink> jsonl;
-  obs::Tracer tracer;
   if (!trace_path.empty()) {
     try {
       jsonl.emplace(trace_path);
@@ -73,8 +72,7 @@ int main(int argc, char** argv) {
       std::cerr << e.what() << '\n';
       return EXIT_FAILURE;
     }
-    tracer.add_sink(&*jsonl);
-    config.tracer = &tracer;
+    config.tracer = &*jsonl;
   }
 
   const auto result = protocols::make_protocol(kind)->run(population, config);

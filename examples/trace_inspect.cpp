@@ -1,9 +1,10 @@
 // Replays a JSONL air-interface trace (examples/telemetry_export
 // --trace-jsonl, or simserved --trace) into a per-phase time-accounting
 // summary: where the microseconds went (vector transmission, commands,
-// turn-arounds, tag replies, wasted slots), per-event-kind tallies, and
-// slot-airtime quantiles via the streaming P2 estimator. Pure offline
-// tool — it knows nothing about the simulator, only the trace schema.
+// turn-arounds, tag replies, wasted slots, recovery), per-event-kind
+// tallies, and the slot-airtime mean and quantiles. Pure offline tool: it
+// reads only the trace schema, and charges phases by obs::replay_phases,
+// the session's own rules.
 //
 //   ./trace_inspect [--follow] [--poll-ms N] TRACE.jsonl
 //
@@ -77,54 +78,33 @@ class TraceStats final {
       return true;
     }
     ++kind_counts_[static_cast<std::size_t>(kind)];
-    const double duration = field_num(line, "duration_us");
-    const double reader_us = field_num(line, "reader_us");
-    const double tag_us = field_num(line, "tag_us");
-    vector_bits_ +=
+    obs::Event event;
+    event.kind = kind;
+    event.vector_bits =
         static_cast<std::uint64_t>(field_num(line, "vector_bits"));
-    command_bits_ +=
+    event.command_bits =
         static_cast<std::uint64_t>(field_num(line, "command_bits"));
-    tag_bits_ += static_cast<std::uint64_t>(field_num(line, "tag_bits"));
-    clock_us_ += duration;
+    event.tag_bits = static_cast<std::uint64_t>(field_num(line, "tag_bits"));
+    event.duration_us = field_num(line, "duration_us");
+    event.reader_us = field_num(line, "reader_us");
+    event.tag_us = field_num(line, "tag_us");
+    event.recovery = field_num(line, "recovery") != 0.0;
+    vector_bits_ += event.vector_bits;
+    command_bits_ += event.command_bits;
+    tag_bits_ += event.tag_bits;
+    clock_us_ += event.duration_us;
+    obs::replay_phases(event, phases_);
 
-    // The same attribution rules the live session uses
-    // (docs/observability.md).
     switch (kind) {
-      case obs::EventKind::kReaderBroadcast:
-        phases_.add(field_num(line, "vector_bits") > 0
-                        ? obs::Phase::kReaderVector
-                        : obs::Phase::kCommand,
-                    duration);
-        break;
       case obs::EventKind::kReply:
-        ++polls_;
-        phases_.add(obs::Phase::kReaderVector, reader_us);
-        phases_.add(obs::Phase::kTagReply, tag_us);
-        phases_.add(obs::Phase::kTurnaround, duration - reader_us - tag_us);
-        record_slot(duration);
-        break;
       case obs::EventKind::kTimeout:
       case obs::EventKind::kCorrupted:
       case obs::EventKind::kSlotEmpty:
       case obs::EventKind::kSlotCollision:
-        phases_.add(obs::Phase::kWastedSlot, duration);
-        record_slot(duration);
+        slot_airtime_.record(event.duration_us);
         break;
-      case obs::EventKind::kRoundBegin:
-        ++rounds_;
+      default:
         break;
-      case obs::EventKind::kCircleBegin:
-        ++circles_;
-        break;
-      case obs::EventKind::kSegmentCorrupted:
-        // The NACK listen window after a corrupted segment: recovery
-        // airtime, as phy::Downlink charges it.
-        phases_.add(obs::Phase::kRecovery, duration);
-        break;
-      case obs::EventKind::kPoll:
-        break;  // airtime rides on the outcome event
-      case obs::EventKind::kDegrade:
-        break;  // a tier switch carries no airtime
     }
     return true;
   }
@@ -165,38 +145,38 @@ class TraceStats final {
         {"total", TablePrinter::num(phases_.total_us(), 1), "100.0%"});
     table.print(os);
 
+    const std::uint64_t polls = count(obs::EventKind::kReply);
     os << "\nbits: vector " << vector_bits_ << ", command " << command_bits_
        << ", tag " << tag_bits_ << '\n'
-       << "rounds " << rounds_ << ", circles " << circles_ << ", polls "
-       << polls_ << '\n';
-    if (polls_ > 0)
+       << "rounds " << count(obs::EventKind::kRoundBegin) << ", circles "
+       << count(obs::EventKind::kCircleBegin) << ", polls " << polls << '\n';
+    if (polls > 0)
       os << "avg vector bits/poll: "
          << TablePrinter::num(static_cast<double>(vector_bits_) /
-                                  static_cast<double>(polls_),
+                                  static_cast<double>(polls),
                               3)
          << '\n';
     if (slot_airtime_.count() > 0)
       os << "slot airtime us: mean "
          << TablePrinter::num(slot_airtime_.mean(), 1) << ", p50 "
-         << TablePrinter::num(slot_p50_.value(), 1) << ", p99 "
-         << TablePrinter::num(slot_p99_.value(), 1) << " (P2)\n";
+         << TablePrinter::num(slot_airtime_.quantile(0.5), 1) << ", p99 "
+         << TablePrinter::num(slot_airtime_.quantile(0.99), 1) << '\n';
     os << "clock total: " << TablePrinter::num(clock_us_, 1) << " us\n";
   }
 
  private:
-  void record_slot(double duration) {
-    slot_p50_.record(duration);
-    slot_p99_.record(duration);
-    slot_airtime_.record(duration);
+  [[nodiscard]] std::uint64_t count(obs::EventKind kind) const noexcept {
+    return kind_counts_[static_cast<std::size_t>(kind)];
   }
 
   obs::PhaseBreakdown phases_{};
   std::uint64_t kind_counts_[obs::kEventKindCount] = {};
   std::uint64_t vector_bits_ = 0, command_bits_ = 0, tag_bits_ = 0;
-  std::uint64_t rounds_ = 0, circles_ = 0, polls_ = 0;
   double clock_us_ = 0.0;
-  obs::P2Quantile slot_p50_{0.5}, slot_p99_{0.99};
-  obs::Histogram slot_airtime_ = obs::Histogram::exponential(100.0, 1.2, 32);
+  /// Buckets 1% wide from 100 us to about 100 ms: interpolated quantiles
+  /// stay within 1% of the exact ones.
+  obs::Histogram slot_airtime_ =
+      obs::Histogram::exponential(100.0, 1.01, 700);
   std::uint64_t lines_ = 0, skipped_ = 0;
 };
 

@@ -56,11 +56,18 @@ if [ "$events" -lt 500 ]; then
   exit 1
 fi
 
-# 4. trace_inspect must replay the trace and account for every phase.
+# 4. trace_inspect must replay the trace, account for every phase and
+# report the slot-airtime distribution.
 "$inspect" "$workdir/trace.jsonl" > "$workdir/summary.txt"
 for needle in reader_vector turnaround tag_reply "clock total"; do
   grep -q "$needle" "$workdir/summary.txt"
 done
+if ! grep -Eq '^slot airtime us: mean [0-9.]+, p50 [0-9.]+, p99 [0-9.]+$' \
+  "$workdir/summary.txt"; then
+  echo "smoke_telemetry: trace_inspect printed no slot airtime line" >&2
+  cat "$workdir/summary.txt" >&2
+  exit 1
+fi
 
 # 5. Strict argument parsing: a garbage population must be rejected.
 if "$telemetry" TPP 12x > /dev/null 2>&1; then

@@ -1,12 +1,9 @@
 #include "obs/histogram.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace rfid::obs {
-
-// --- Histogram --------------------------------------------------------------
 
 Histogram::Histogram(std::vector<double> edges) : edges_(std::move(edges)) {
   if (edges_.size() < 2)
@@ -39,22 +36,18 @@ Histogram Histogram::exponential(double lo, double ratio,
   return Histogram(std::move(edges));
 }
 
-void Histogram::record(double value) noexcept { record_n(value, 1); }
-
-void Histogram::record_n(double value, std::uint64_t count) noexcept {
-  if (count == 0) return;
+void Histogram::record(double value) noexcept {
   if (count_ == 0) {
     min_ = max_ = value;
   } else {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  count_ += count;
-  sum_ += value * static_cast<double>(count);
-  if (counts_.empty()) return;  // default-constructed: totals only
+  ++count_;
+  sum_ += value;
   // upper_bound gives the first edge > value; bucket 0 is the underflow.
   const auto it = std::upper_bound(edges_.begin(), edges_.end(), value);
-  counts_[static_cast<std::size_t>(it - edges_.begin())] += count;
+  ++counts_[static_cast<std::size_t>(it - edges_.begin())];
 }
 
 double Histogram::quantile(double q) const noexcept {
@@ -79,107 +72,6 @@ double Histogram::quantile(double q) const noexcept {
     return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
   }
   return max_;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (counts_.empty() && count_ == 0) {
-    *this = other;  // adopt the configured layout wholesale
-    return;
-  }
-  if (!same_layout(other))
-    throw std::invalid_argument("Histogram::merge: bucket layouts differ");
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (std::size_t b = 0; b < counts_.size(); ++b)
-    counts_[b] += other.counts_[b];
-}
-
-// --- P2Quantile -------------------------------------------------------------
-
-P2Quantile::P2Quantile(double q) : q_(std::clamp(q, 0.001, 0.999)) {
-  increment_[0] = 0.0;
-  increment_[1] = q_ / 2.0;
-  increment_[2] = q_;
-  increment_[3] = (1.0 + q_) / 2.0;
-  increment_[4] = 1.0;
-}
-
-void P2Quantile::record(double value) noexcept {
-  if (n_ < 5) {
-    heights_[n_++] = value;
-    if (n_ == 5) {
-      std::sort(heights_, heights_ + 5);
-      for (int i = 0; i < 5; ++i) {
-        positions_[i] = static_cast<double>(i + 1);
-        desired_[i] = 1.0 + 4.0 * increment_[i];
-      }
-    }
-    return;
-  }
-
-  // Locate the cell and bump the extreme markers if needed.
-  int cell;
-  if (value < heights_[0]) {
-    heights_[0] = value;
-    cell = 0;
-  } else if (value >= heights_[4]) {
-    heights_[4] = value;
-    cell = 3;
-  } else {
-    cell = 0;
-    while (cell < 3 && value >= heights_[cell + 1]) ++cell;
-  }
-  ++n_;
-  for (int i = cell + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increment_[i];
-
-  // Adjust the three interior markers toward their desired positions with
-  // the piecewise-parabolic (P²) update, falling back to linear when the
-  // parabolic estimate would leave the bracketing heights.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double below = positions_[i] - positions_[i - 1];
-    const double above = positions_[i + 1] - positions_[i];
-    if ((d >= 1.0 && above > 1.0) || (d <= -1.0 && below > 1.0)) {
-      const double sign = d >= 1.0 ? 1.0 : -1.0;
-      const double span = positions_[i + 1] - positions_[i - 1];
-      const double parabolic =
-          heights_[i] +
-          sign / span *
-              ((below + sign) * (heights_[i + 1] - heights_[i]) / above +
-               (above - sign) * (heights_[i] - heights_[i - 1]) / below);
-      if (heights_[i - 1] < parabolic && parabolic < heights_[i + 1]) {
-        heights_[i] = parabolic;
-      } else {
-        const int j = sign > 0 ? i + 1 : i - 1;
-        heights_[i] += sign * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
-      }
-      positions_[i] += sign;
-    }
-  }
-}
-
-double P2Quantile::value() const noexcept {
-  if (n_ == 0) return 0.0;
-  if (n_ < 5) {
-    // Exact nearest-rank quantile over the few samples seen so far.
-    double sorted[5];
-    std::copy(heights_, heights_ + n_, sorted);
-    std::sort(sorted, sorted + n_);
-    const auto rank = static_cast<std::size_t>(
-        q_ * static_cast<double>(n_ - 1) + 0.5);
-    return sorted[std::min<std::size_t>(rank, n_ - 1)];
-  }
-  return heights_[2];
 }
 
 }  // namespace rfid::obs

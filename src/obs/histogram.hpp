@@ -1,22 +1,12 @@
-// Distribution accumulators for the observability registry.
-//
-// Two complementary estimators:
-//   * Histogram — fixed bucket edges decided up front. Counts merge exactly
-//     and associatively, which is what the parallel trial runner needs:
-//     merging per-trial histograms in trial order yields bit-identical
-//     results whether the trials ran serially or across a pool. Mean/min/max
-//     are exact (kept outside the buckets); quantiles are interpolated
-//     within the owning bucket.
-//   * P2Quantile — the piecewise-parabolic (P²) streaming estimator of Jain
-//     & Chlamtac for a single quantile in O(1) memory. More precise tails
-//     than bucket interpolation but *not* mergeable — use it for
-//     single-stream analysis (examples/trace_inspect), never for
-//     cross-thread aggregation.
+// Fixed-bucket distribution accumulator for offline trace analysis
+// (examples/trace_inspect). Bucket edges are decided up front; mean, min
+// and max are exact (kept outside the buckets), and quantiles are
+// interpolated within the owning bucket, so a layout whose buckets are
+// 1% wide keeps every quantile within 1% of the exact value.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace rfid::obs {
@@ -24,8 +14,6 @@ namespace rfid::obs {
 /// Fixed-bucket histogram with exact sum/min/max side-channels.
 class Histogram final {
  public:
-  Histogram() = default;
-
   /// Buckets are [edges[i], edges[i+1]); values below edges.front() land in
   /// an underflow bucket, values >= edges.back() in an overflow bucket.
   /// Edges must be strictly increasing and at least two. Throws
@@ -42,8 +30,6 @@ class Histogram final {
                                              std::size_t buckets);
 
   void record(double value) noexcept;
-  /// Adds `count` identical observations in one step.
-  void record_n(double value, std::uint64_t count) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
@@ -66,15 +52,6 @@ class Histogram final {
     return counts_;
   }
 
-  /// Exact, associative, commutative merge. Throws std::invalid_argument if
-  /// the bucket layouts differ (merging a default-constructed histogram into
-  /// a configured one adopts the configured layout).
-  void merge(const Histogram& other);
-
-  [[nodiscard]] bool same_layout(const Histogram& other) const noexcept {
-    return edges_ == other.edges_;
-  }
-
  private:
   std::vector<double> edges_;
   std::vector<std::uint64_t> counts_;  ///< underflow + interior + overflow
@@ -82,29 +59,6 @@ class Histogram final {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// P² streaming estimator for one quantile (Jain & Chlamtac, CACM 1985).
-/// Deterministic for a fixed input sequence; O(1) state; not mergeable.
-class P2Quantile final {
- public:
-  /// `q` in (0, 1); clamped to [0.001, 0.999].
-  explicit P2Quantile(double q);
-
-  void record(double value) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
-  /// Current estimate; with fewer than 5 observations, the exact
-  /// small-sample quantile.
-  [[nodiscard]] double value() const noexcept;
-
- private:
-  double q_;
-  std::uint64_t n_ = 0;
-  double heights_[5] = {};   ///< marker heights (q0, q/2-ish, q, ...)
-  double positions_[5] = {}; ///< actual marker positions
-  double desired_[5] = {};   ///< desired marker positions
-  double increment_[5] = {}; ///< per-observation desired-position increments
 };
 
 }  // namespace rfid::obs

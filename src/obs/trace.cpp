@@ -40,6 +40,49 @@ bool parse_event_kind(std::string_view name, EventKind& out) noexcept {
   return false;
 }
 
+void replay_phases(const Event& event, PhaseBreakdown& phases) noexcept {
+  const double duration = event.duration_us;
+  if (event.recovery) {
+    phases.add(Phase::kRecovery, duration);
+    return;
+  }
+  switch (event.kind) {
+    case EventKind::kReaderBroadcast: {
+      // A share of 1 or 0 is exact, so an all-vector or all-command frame
+      // keeps its whole duration in one phase.
+      const auto bits =
+          static_cast<double>(event.vector_bits + event.command_bits);
+      const double vector_us =
+          bits > 0.0
+              ? duration * (static_cast<double>(event.vector_bits) / bits)
+              : 0.0;
+      phases.add(Phase::kReaderVector, vector_us);
+      phases.add(Phase::kCommand, duration - vector_us);
+      break;
+    }
+    case EventKind::kReply:
+      phases.add(Phase::kReaderVector, event.reader_us);
+      phases.add(Phase::kTagReply, event.tag_us);
+      phases.add(Phase::kTurnaround,
+                 duration - event.reader_us - event.tag_us);
+      break;
+    case EventKind::kTimeout:
+    case EventKind::kCorrupted:
+    case EventKind::kSlotEmpty:
+    case EventKind::kSlotCollision:
+      phases.add(Phase::kWastedSlot, duration);
+      break;
+    case EventKind::kSegmentCorrupted:
+      phases.add(Phase::kRecovery, duration);
+      break;
+    case EventKind::kPoll:  // airtime rides on the outcome event
+    case EventKind::kRoundBegin:
+    case EventKind::kCircleBegin:
+    case EventKind::kDegrade:
+      break;
+  }
+}
+
 // --- RingBufferSink ---------------------------------------------------------
 
 RingBufferSink::RingBufferSink(std::size_t capacity)
@@ -88,7 +131,10 @@ void JsonlSink::on_event(const Event& event) {
        << R"(,"time_us":)" << num(event.time_us) << R"(,"duration_us":)"
        << num(event.duration_us) << R"(,"reader_us":)" << num(event.reader_us)
        << R"(,"tag_us":)" << num(event.tag_us) << R"(,"detail":)"
-       << event.detail << "}\n";
+       << event.detail;
+  // Written only when set, so zero-fault traces keep their bytes.
+  if (event.recovery) *os_ << R"(,"recovery":1)";
+  *os_ << "}\n";
 }
 
 void JsonlSink::on_finish() { os_->flush(); }

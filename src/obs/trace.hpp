@@ -2,20 +2,21 @@
 //
 // The paper's headline numbers are *distributions* — polling-vector bits per
 // tag (Figs. 3/5/9), per-protocol time breakdowns (Tables I-III) — but
-// sim::Metrics only keeps sums. The tracer closes that gap: when a
-// SessionConfig carries a Tracer pointer, the Session emits one typed event
-// per accounting action (broadcast, poll, reply, timeout, wasted slot, round
-// or circle start), stamped with the simulated clock and the exact bit and
-// microsecond increments that went into the metrics. A run's events are a
-// lossless decomposition of its Metrics totals:
+// sim::Metrics only keeps sums. The trace closes that gap: when a
+// SessionConfig carries a TraceSink pointer, the Session emits one typed
+// event per accounting action (broadcast, poll, reply, timeout, wasted
+// slot, round or circle start), stamped with the simulated clock and the
+// exact bit and microsecond increments that went into the metrics. A run's
+// events are a lossless decomposition of its Metrics totals:
 //
 //   sum(event.vector_bits)  == metrics.vector_bits
 //   sum(event.command_bits) == metrics.command_bits
 //   sum(event.tag_bits)     == metrics.tag_bits
 //   fold(+, event.duration_us) == metrics.time_us   (bit-exact: durations
 //       are the very doubles added to the clock, in the same order)
+//   replay_phases over all events == metrics.phases (to 1e-9 of time_us)
 //
-// With no tracer configured the hooks are a single branch on a null pointer;
+// With no sink configured the hooks are a single branch on a null pointer;
 // hot paths are otherwise untouched and seeded runs stay byte-identical.
 #pragma once
 
@@ -26,6 +27,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/phase_timer.hpp"
 
 namespace rfid::obs {
 
@@ -57,7 +60,9 @@ inline constexpr std::size_t kEventKindCount = 11;
 /// this event (0 for kPoll — its airtime is carried by the outcome event
 /// that follows — and for round/circle markers). `reader_us`/`tag_us` split
 /// the duration into phase components (see obs/phase_timer.hpp); whatever
-/// remains is turn-around time.
+/// remains is turn-around time. `recovery` marks an event the session
+/// charged whole to Phase::kRecovery: everything inside a recovery scope,
+/// and framed retransmissions with their NACK windows.
 struct Event final {
   EventKind kind = EventKind::kReaderBroadcast;
   std::uint64_t round = 0;       ///< rounds begun so far (1-based once running)
@@ -75,45 +80,27 @@ struct Event final {
   /// (analysis::PollingTier), kTimeout stores 1 when the downlink vector
   /// was BER-corrupted and 2 when a desynchronized poll went unanswered.
   std::uint64_t detail = 0;
+  bool recovery = false;
 };
+
+/// Adds `event`'s airtime to `phases` by the rules the session charges it
+/// with, so replaying a run's events reproduces Metrics::phases: a recovery
+/// event goes whole to kRecovery; a broadcast splits between kReaderVector
+/// and kCommand in the ratio of its vector and command bits (reader
+/// airtime is linear in bits); a reply splits into reader, tag and
+/// turn-around time; wasted slots go to kWastedSlot and a NACK window to
+/// kRecovery.
+void replay_phases(const Event& event, PhaseBreakdown& phases) noexcept;
 
 /// Receives the event stream. Implementations must not mutate simulation
 /// state; a sink is wired to exactly one session at a time (sessions are
-/// single-threaded, so sinks need no locking).
+/// single-threaded, so sinks need no locking). Not owned by the session.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void on_event(const Event& event) = 0;
   /// Called once when the session finishes; flush buffers here.
   virtual void on_finish() {}
-};
-
-/// The dispatch point a Session talks to. Fans one event out to any number
-/// of sinks; owning none is legal (events vanish).
-class Tracer final {
- public:
-  Tracer() = default;
-  explicit Tracer(TraceSink* sink) { add_sink(sink); }
-
-  /// Registers a sink (not owned; must outlive the tracer). Null is ignored.
-  void add_sink(TraceSink* sink) {
-    if (sink != nullptr) sinks_.push_back(sink);
-  }
-
-  void emit(const Event& event) {
-    for (TraceSink* sink : sinks_) sink->on_event(event);
-  }
-
-  void finish() {
-    for (TraceSink* sink : sinks_) sink->on_finish();
-  }
-
-  [[nodiscard]] std::size_t sink_count() const noexcept {
-    return sinks_.size();
-  }
-
- private:
-  std::vector<TraceSink*> sinks_;
 };
 
 /// Fixed-capacity in-memory sink for tests and interactive inspection: keeps

@@ -18,21 +18,20 @@ RunningStats collect(const std::vector<TrialOutcome>& outcomes,
   return stats;
 }
 
-/// Everything one trial hands back for aggregation. Registries are merged
+/// Everything one trial hands back for aggregation. Metrics are merged
 /// after the pool drains, in trial order, so the fold is deterministic.
 struct TrialSlot final {
   TrialOutcome outcome;
   sim::Metrics metrics;
-  obs::MetricsRegistry registry;
 };
 
 /// The cross-thread meeting point of a trial series. Pool workers deposit
 /// one TrialSlot per trial; after ThreadPool::wait_idle the main thread
 /// folds the slots — in trial order, never in completion order — through
-/// sim::Metrics::merge and obs::MetricsRegistry::merge. Every slot access
-/// is GUARDED_BY the aggregator mutex, so the merge paths carry a
-/// compile-checked lock discipline (and a clean TSan run) on top of the
-/// byte-identity contract the determinism gate enforces.
+/// sim::Metrics::merge. Every slot access is GUARDED_BY the aggregator
+/// mutex, so the merge path carries a compile-checked lock discipline (and
+/// a clean TSan run) on top of the byte-identity contract the determinism
+/// gate enforces.
 class TrialAggregator final {
  public:
   explicit TrialAggregator(std::size_t trials)
@@ -57,25 +56,22 @@ class TrialAggregator final {
       if (error) std::rethrow_exception(error);
   }
 
-  /// The deterministic cross-trial fold: outcomes copied and metrics /
-  /// registries merged in trial order regardless of how the trials were
-  /// scheduled — merge order is what makes the aggregates (sums,
-  /// histograms) bit-identical between serial and pooled execution.
-  [[nodiscard]] TrialSeries fold(bool collect_registry)
-      RFID_EXCLUDES(mutex_) {
+  /// The deterministic cross-trial fold: outcomes copied and metrics
+  /// merged in trial order regardless of how the trials were scheduled —
+  /// merge order is what makes the floating-point sums bit-identical
+  /// between serial and pooled execution.
+  [[nodiscard]] TrialSeries fold() RFID_EXCLUDES(mutex_) {
     const MutexLock lock(mutex_);
-    return fold_locked(collect_registry);
+    return fold_locked();
   }
 
  private:
-  [[nodiscard]] TrialSeries fold_locked(bool collect_registry)
-      RFID_REQUIRES(mutex_) {
+  [[nodiscard]] TrialSeries fold_locked() RFID_REQUIRES(mutex_) {
     TrialSeries series;
     series.outcomes.resize(slots_.size());
     for (std::size_t t = 0; t < slots_.size(); ++t) {
       series.outcomes[t] = slots_[t].outcome;
       series.totals.merge(slots_[t].metrics);
-      if (collect_registry) series.registry.merge(slots_[t].registry);
     }
     return series;
   }
@@ -99,12 +95,6 @@ TrialSlot run_one(const protocols::PollingProtocol& protocol,
   session.seed = derive_seed(plan.master_seed, 2 * trial + 1);
   session.keep_records = false;  // trials aggregate metrics only
   session.tracer = nullptr;      // a caller-shared sink would race the pool
-
-  // Each trial traces into its own registry; cross-trial merging happens
-  // serially in run_trials.
-  obs::RegistrySink registry_sink(slot.registry);
-  obs::Tracer tracer(&registry_sink);
-  if (plan.collect_registry) session.tracer = &tracer;
 
   const sim::RunResult result = protocol.run(population, session);
   slot.metrics = result.metrics;
@@ -153,7 +143,7 @@ TrialSeries run_trials(const protocols::PollingProtocol& protocol,
     aggregator.rethrow_first_error();
   }
 
-  return aggregator.fold(plan.collect_registry);
+  return aggregator.fold();
 }
 
 PopulationFactory uniform_population(std::size_t n) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "obs/registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "protocols/protocol.hpp"
 
@@ -30,14 +29,9 @@ struct TrialOutcome final {
 struct TrialPlan final {
   std::size_t trials = 25;
   std::uint64_t master_seed = 42;
-  sim::SessionConfig session{};  ///< per-trial seed is derived, field ignored
-  /// When set, each trial runs with a private obs::RegistrySink and the
-  /// per-trial registries are merged — in trial order, after all trials
-  /// completed — into TrialSeries::registry. Aggregate distributions are
-  /// therefore bit-identical serial vs pooled, the same contract
-  /// sim::Metrics::merge gives the scalar totals. Any tracer set on
-  /// `session` is ignored (a shared sink across pool threads would race).
-  bool collect_registry = false;
+  /// Per-trial seed is derived and the field ignored; any trace sink is
+  /// dropped too (a shared sink across pool threads would race).
+  sim::SessionConfig session{};
 };
 
 /// Builds the population for one trial from a seed-derived RNG stream.
@@ -50,10 +44,6 @@ struct TrialSeries final {
   /// Metrics summed over all trials via sim::Metrics::merge (trial order,
   /// so serial and pooled runs agree bitwise).
   sim::Metrics totals{};
-
-  /// Merged event-derived distributions; populated only when
-  /// TrialPlan::collect_registry is set.
-  obs::MetricsRegistry registry;
 
   [[nodiscard]] RunningStats vector_bits() const;
   [[nodiscard]] RunningStats time_s() const;

@@ -14,7 +14,7 @@ void Downlink::broadcast_vector_bits(std::size_t bits) {
   sink_.on_phase(obs::Phase::kReaderVector, dt);
   if (sink_.tracing())
     sink_.on_trace(obs::EventKind::kReaderBroadcast, dt, bits, 0, 0, dt, 0.0,
-                   0);
+                   0, /*recovery=*/false);
 }
 
 void Downlink::broadcast_command_bits(std::size_t bits) {
@@ -24,7 +24,7 @@ void Downlink::broadcast_command_bits(std::size_t bits) {
   sink_.on_phase(obs::Phase::kCommand, dt);
   if (sink_.tracing())
     sink_.on_trace(obs::EventKind::kReaderBroadcast, dt, 0, bits, 0, dt, 0.0,
-                   0);
+                   0, /*recovery=*/false);
 }
 
 bool Downlink::unframed_corrupts(std::size_t vector_bits) {
@@ -65,7 +65,7 @@ bool Downlink::broadcast_framed(std::size_t payload_bits, bool count_in_w) {
           sink_.on_trace(obs::EventKind::kReaderBroadcast, dt,
                          count_in_w ? seg : 0,
                          (count_in_w ? 0 : seg) + kSegmentOverheadBits, 0, dt,
-                         0.0, seq);
+                         0.0, seq, /*recovery=*/false);
       } else {
         // Retransmission: exponential backoff, then the whole frame again.
         // Everything here is corruption-recovery cost — bits land in
@@ -78,7 +78,7 @@ bool Downlink::broadcast_framed(std::size_t payload_bits, bool count_in_w) {
         sink_.on_phase(obs::Phase::kRecovery, dt);
         if (sink_.tracing())
           sink_.on_trace(obs::EventKind::kReaderBroadcast, dt, 0, frame_bits,
-                         0, tx_us, 0.0, seq);
+                         0, tx_us, 0.0, seq, /*recovery=*/true);
       }
       ++attempts_;
       attempt_bits_ += frame_bits;
@@ -96,7 +96,7 @@ bool Downlink::broadcast_framed(std::size_t payload_bits, bool count_in_w) {
       sink_.on_phase(obs::Phase::kRecovery, listen_us);
       if (sink_.tracing())
         sink_.on_trace(obs::EventKind::kSegmentCorrupted, listen_us, 0, 0, 0,
-                       0.0, 0.0, seq);
+                       0.0, 0.0, seq, /*recovery=*/true);
     }
     if (!delivered) return false;
     remaining -= seg;

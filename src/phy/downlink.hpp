@@ -44,13 +44,18 @@ class AirtimeSink {
   virtual void on_clock_advance(double dt_us) = 0;
   /// Attributes `dt_us` to `phase`, honouring an open recovery scope.
   virtual void on_phase(obs::Phase phase, double dt_us) = 0;
-  /// True when a tracer is attached (keeps the disabled path to one branch).
+  /// True when a trace sink is attached (keeps the disabled path to one
+  /// branch).
   [[nodiscard]] virtual bool tracing() const = 0;
   /// Emits one trace event stamped by the sink with clock/round counters.
+  /// `recovery` marks airtime charged to obs::Phase::kRecovery here
+  /// (retransmissions and NACK windows); the sink adds an open recovery
+  /// scope.
   virtual void on_trace(obs::EventKind kind, double duration_us,
                         std::uint64_t vector_bits, std::uint64_t command_bits,
                         std::uint64_t tag_bits, double reader_us,
-                        double tag_us, std::uint64_t detail) = 0;
+                        double tag_us, std::uint64_t detail,
+                        bool recovery) = 0;
 
  protected:
   ~AirtimeSink() = default;

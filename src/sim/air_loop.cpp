@@ -26,7 +26,7 @@ void AirLoop::trace_event(obs::EventKind kind, double duration_us,
                           std::uint64_t vector_bits,
                           std::uint64_t command_bits, std::uint64_t tag_bits,
                           double reader_us, double tag_us,
-                          std::uint64_t detail) {
+                          std::uint64_t detail, bool recovery) {
   obs::Event event;
   event.kind = kind;
   event.round = metrics_.rounds;
@@ -39,7 +39,8 @@ void AirLoop::trace_event(obs::EventKind kind, double duration_us,
   event.reader_us = reader_us;
   event.tag_us = tag_us;
   event.detail = detail;
-  config_.tracer->emit(event);
+  event.recovery = recovery || in_recovery_;
+  config_.tracer->on_event(event);
 }
 
 bool AirLoop::is_present(const TagId& id) const noexcept {

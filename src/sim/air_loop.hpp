@@ -156,11 +156,13 @@ class AirLoop final {
   /// Builds and emits one trace event stamped with the current clock and
   /// round/circle counters. Callers must have applied the metric updates
   /// first and must guard on config().tracer themselves (keeps the disabled
-  /// path to one branch).
+  /// path to one branch). The event is marked `recovery` when `recovery`
+  /// is set or a recovery phase is open, as its airtime then went whole to
+  /// obs::Phase::kRecovery.
   void trace_event(obs::EventKind kind, double duration_us,
                    std::uint64_t vector_bits, std::uint64_t command_bits,
                    std::uint64_t tag_bits, double reader_us, double tag_us,
-                   std::uint64_t detail = 0);
+                   std::uint64_t detail = 0, bool recovery = false);
 
  private:
   const tags::Tag* complete_reply(

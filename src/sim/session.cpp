@@ -61,7 +61,7 @@ void Session::check_round_budget() const {
 }
 
 RunResult Session::finish(std::string protocol_name) {
-  if (config_.tracer != nullptr) config_.tracer->finish();
+  if (config_.tracer != nullptr) config_.tracer->on_finish();
   RunResult result;
   result.protocol = std::move(protocol_name);
   result.population = population_->size();

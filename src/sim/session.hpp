@@ -139,9 +139,9 @@ class Session final : private phy::AirtimeSink, public fault::RecoveryHost {
   void on_trace(obs::EventKind kind, double duration_us,
                 std::uint64_t vector_bits, std::uint64_t command_bits,
                 std::uint64_t tag_bits, double reader_us, double tag_us,
-                std::uint64_t detail) override {
+                std::uint64_t detail, bool recovery) override {
     air_.trace_event(kind, duration_us, vector_bits, command_bits, tag_bits,
-                     reader_us, tag_us, detail);
+                     reader_us, tag_us, detail, recovery);
   }
 
   const tags::TagPopulation* population_;

@@ -47,11 +47,11 @@ struct SessionConfig final {
   double capture_probability = 0.0;
   /// Record a per-round snapshot trace in the result (diagnostics/plots).
   bool keep_trace = false;
-  /// Event tracer receiving one typed event per air-interface action (see
+  /// Trace sink receiving one typed event per air-interface action (see
   /// obs/trace.hpp). Not owned; must outlive the run. Null disables tracing
   /// entirely — the hot-path cost is a single branch on this pointer, and
   /// seeded runs stay byte-identical with or without it.
-  obs::Tracer* tracer = nullptr;
+  obs::TraceSink* tracer = nullptr;
   /// Structured fault plan (burst-error link model, tag-churn schedule).
   /// Executed by a fault::FaultInjector on a dedicated RNG stream derived
   /// from `seed`; the default (disabled) plan draws nothing and leaves

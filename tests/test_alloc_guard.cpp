@@ -27,6 +27,8 @@
 // TPP alike, so the TPP and ADAPT shapes are gated twice: once on that
 // path and once with a presence filter that holds every ID, which keeps
 // each round on the per-poll tree dispatch without adding per-poll output.
+// A trace sink also keeps rounds on the per-poll path; HPP and TPP rounds
+// traced into an obs::RingBufferSink are gated too.
 //
 // This TU is the binary's single inclusion of alloc_guard.hpp (it replaces
 // global operator new/delete).
@@ -42,6 +44,7 @@
 #include "core/deployment.hpp"
 #include "fault/recovery.hpp"
 #include "fault/supervisor.hpp"
+#include "obs/trace.hpp"
 #include "protocols/adaptive_polling.hpp"
 #include "protocols/enhanced_hash_polling.hpp"
 #include "protocols/hash_polling.hpp"
@@ -58,12 +61,13 @@ constexpr std::size_t kPopulation = 512;
 constexpr std::uint64_t kSeed = 20260806;
 
 /// Which dispatch the measured rounds take.
-enum class Dispatch { kCleanFastPath, kPerPoll };
+enum class Dispatch { kCleanFastPath, kPerPoll, kTraced };
 
 /// Drains `policy` rounds over a fresh population and returns the total
 /// allocations in rounds 2..N (the steady state). Dispatch::kPerPoll
 /// installs a presence filter holding every ID: nothing is missing, but
-/// the session leaves the clean-round fast path.
+/// the session leaves the clean-round fast path. Dispatch::kTraced leaves
+/// it by attaching a ring-buffer trace sink.
 template <typename Policy, typename PolicyConfig>
 std::uint64_t steady_allocs(const PolicyConfig& policy_config,
                             Dispatch dispatch = Dispatch::kCleanFastPath,
@@ -77,6 +81,8 @@ std::uint64_t steady_allocs(const PolicyConfig& policy_config,
   config.seed = seed ^ 0x9E3779B97F4A7C15ull;
   config.keep_records = false;  // record storage is output data, not scratch
   if (dispatch == Dispatch::kPerPoll) config.present = &everyone;
+  obs::RingBufferSink ring(1024);
+  if (dispatch == Dispatch::kTraced) config.tracer = &ring;
   sim::Session session(population, config);
   EXPECT_EQ(session.clean_poll_fast_path(),
             dispatch == Dispatch::kCleanFastPath);
@@ -96,6 +102,7 @@ std::uint64_t steady_allocs(const PolicyConfig& policy_config,
   // A drain of 512 tags takes several rounds; if it somehow finished in
   // one, the "steady state" below would be vacuous.
   EXPECT_GE(rounds, 3u);
+  EXPECT_EQ(ring.total_events() > 0, dispatch == Dispatch::kTraced);
   return steady;
 }
 
@@ -131,6 +138,15 @@ TEST(AllocGuard, TppSteadyStateRoundsAllocationFree) {
 TEST(AllocGuard, TppPerPollRoundsAllocationFree) {
   EXPECT_EQ(steady_allocs<protocols::TppRoundPolicy>(protocols::Tpp::Config{},
                                                      Dispatch::kPerPoll),
+            0u);
+}
+
+TEST(AllocGuard, TracedRoundsAllocationFree) {
+  EXPECT_EQ(steady_allocs<protocols::HppRoundPolicy>(
+                protocols::HppRoundConfig{}, Dispatch::kTraced),
+            0u);
+  EXPECT_EQ(steady_allocs<protocols::TppRoundPolicy>(protocols::Tpp::Config{},
+                                                     Dispatch::kTraced),
             0u);
 }
 

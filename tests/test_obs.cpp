@@ -1,7 +1,6 @@
 // Tests for the observability subsystem: event tracing (sinks, metric
-// identities), histograms and streaming quantiles, the metrics registry,
-// phase accounting, trial-runner aggregation, and the strict numeric
-// argument parser.
+// identities, phase replay), histograms, phase accounting, snapshot JSON
+// stability, and the strict numeric argument parser.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +12,6 @@
 #include "common/env.hpp"
 #include "core/polling.hpp"
 #include "obs/histogram.hpp"
-#include "obs/registry.hpp"
 #include "obs/stream.hpp"
 #include "obs/trace.hpp"
 #include "parallel/trial_runner.hpp"
@@ -23,7 +21,7 @@ namespace rfid {
 namespace {
 
 sim::RunResult traced_run(core::ProtocolKind kind, std::size_t n,
-                          obs::Tracer& tracer, std::uint64_t seed = 7,
+                          obs::TraceSink& sink, std::uint64_t seed = 7,
                           double noise = 0.0) {
   Xoshiro256ss rng(2026);
   const auto pop = tags::TagPopulation::uniform_random(n, rng);
@@ -34,8 +32,34 @@ sim::RunResult traced_run(core::ProtocolKind kind, std::size_t n,
     config.fault.link = fault::LinkModel::kBernoulli;
     config.fault.bernoulli_loss = noise;
   }
-  config.tracer = &tracer;
+  config.tracer = &sink;
   return protocols::make_protocol(kind)->run(pop, config);
+}
+
+/// Feeds one run's events to two sinks.
+class TeeSink final : public obs::TraceSink {
+ public:
+  TeeSink(obs::TraceSink& first, obs::TraceSink& second)
+      : first_(first), second_(second) {}
+  void on_event(const obs::Event& event) override {
+    first_.on_event(event);
+    second_.on_event(event);
+  }
+  void on_finish() override {
+    first_.on_finish();
+    second_.on_finish();
+  }
+
+ private:
+  obs::TraceSink& first_;
+  obs::TraceSink& second_;
+};
+
+std::uint64_t count_kind(const std::vector<obs::Event>& events,
+                         obs::EventKind kind) {
+  std::uint64_t count = 0;
+  for (const obs::Event& event : events) count += event.kind == kind;
+  return count;
 }
 
 // --- Event stream vs metrics: the lossless-decomposition contract ----------
@@ -43,19 +67,14 @@ sim::RunResult traced_run(core::ProtocolKind kind, std::size_t n,
 TEST(Trace, TppEventsSumExactlyToMetrics) {
   // The acceptance bar: a TPP run over n = 2000 through the JSONL sink must
   // decompose the metrics exactly — summed vector bits, tag bits, and the
-  // duration fold all equal the Metrics totals, and the vector-bits
-  // histogram mean equals avg_vector_bits() to 1e-9.
+  // duration fold all equal the Metrics totals, and every poll shows up
+  // as one reply event.
   std::ostringstream jsonl;
   obs::JsonlSink jsonl_sink(jsonl);
   obs::RingBufferSink ring(1u << 16);
-  obs::MetricsRegistry registry;
-  obs::RegistrySink registry_sink(registry);
-  obs::Tracer tracer;
-  tracer.add_sink(&jsonl_sink);
-  tracer.add_sink(&ring);
-  tracer.add_sink(&registry_sink);
+  TeeSink tee(jsonl_sink, ring);
 
-  const auto result = traced_run(core::ProtocolKind::kTpp, 2000, tracer);
+  const auto result = traced_run(core::ProtocolKind::kTpp, 2000, tee);
   ASSERT_EQ(ring.dropped(), 0u);
 
   EXPECT_EQ(ring.sum_vector_bits(), result.metrics.vector_bits);
@@ -69,6 +88,7 @@ TEST(Trace, TppEventsSumExactlyToMetrics) {
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.back().time_us, result.metrics.time_us);
   EXPECT_EQ(events.back().round, result.metrics.rounds);
+  EXPECT_EQ(count_kind(events, obs::EventKind::kReply), result.metrics.polls);
 
   // JSONL: one meta line + one line per event, all parseable back into the
   // same totals (precision-17 doubles round-trip).
@@ -94,13 +114,6 @@ TEST(Trace, TppEventsSumExactlyToMetrics) {
   EXPECT_EQ(vector_bits, result.metrics.vector_bits);
   EXPECT_EQ(tag_bits, result.metrics.tag_bits);
   EXPECT_EQ(clock, result.metrics.time_us);
-
-  // Registry-side distribution: mean polling-vector length.
-  const obs::Histogram* h = registry.find_histogram("vector_bits_per_poll");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), result.metrics.polls);
-  EXPECT_NEAR(h->mean(), result.avg_vector_bits(), 1e-9);
-  EXPECT_EQ(registry.counter_value("events.reply"), result.metrics.polls);
 }
 
 TEST(Trace, EventDecompositionHoldsAcrossProtocolFamilies) {
@@ -109,8 +122,7 @@ TEST(Trace, EventDecompositionHoldsAcrossProtocolFamilies) {
         core::ProtocolKind::kCpp, core::ProtocolKind::kMic,
         core::ProtocolKind::kDfsa}) {
     obs::RingBufferSink ring(1u << 18);
-    obs::Tracer tracer(&ring);
-    const auto result = traced_run(kind, 500, tracer);
+    const auto result = traced_run(kind, 500, ring);
     ASSERT_EQ(ring.dropped(), 0u) << result.protocol;
     EXPECT_EQ(ring.sum_vector_bits(), result.metrics.vector_bits)
         << result.protocol;
@@ -123,17 +135,79 @@ TEST(Trace, EventDecompositionHoldsAcrossProtocolFamilies) {
   }
 }
 
+/// The channel setups the phase replay is checked on.
+enum class ReplaySetup { kClean, kFramedBer, kBernoulliLoss, kBurstyFramed };
+
+sim::SessionConfig replay_config(ReplaySetup setup) {
+  sim::SessionConfig config;
+  config.seed = 13;
+  config.keep_records = false;
+  switch (setup) {
+    case ReplaySetup::kClean:
+      break;
+    case ReplaySetup::kFramedBer:
+      config.framing.enabled = true;
+      config.fault.downlink_ber = 0.002;
+      config.recovery.enabled = true;
+      break;
+    case ReplaySetup::kBernoulliLoss:
+      config.fault.link = fault::LinkModel::kBernoulli;
+      config.fault.bernoulli_loss = 0.1;
+      config.recovery.enabled = true;
+      break;
+    case ReplaySetup::kBurstyFramed:
+      config.fault.link = fault::LinkModel::kGilbertElliott;
+      config.fault.downlink_ber = 0.005;
+      config.framing.enabled = true;
+      config.framing.segment_payload_bits = 32;
+      config.recovery.enabled = true;
+      config.recovery.retry_budget = 12;
+      break;
+  }
+  return config;
+}
+
+TEST(Trace, ReplayedPhasesEqualTheSession) {
+  // obs::replay_phases over a run's events must charge every phase as the
+  // session did: recovery scopes, framed retransmissions and NACK windows
+  // to kRecovery, and a framed first attempt split between its w-counted
+  // payload and its command armor.
+  Xoshiro256ss rng(2026);
+  const auto pop = tags::TagPopulation::uniform_random(300, rng);
+  for (const auto setup :
+       {ReplaySetup::kClean, ReplaySetup::kFramedBer,
+        ReplaySetup::kBernoulliLoss, ReplaySetup::kBurstyFramed}) {
+    for (const auto kind : protocols::all_protocols()) {
+      obs::RingBufferSink ring(1u << 16);
+      sim::SessionConfig config = replay_config(setup);
+      config.tracer = &ring;
+      const auto result = protocols::make_protocol(kind)->run(pop, config);
+      ASSERT_EQ(ring.dropped(), 0u) << result.protocol;
+      obs::PhaseBreakdown replayed{};
+      for (const obs::Event& event : ring.snapshot())
+        obs::replay_phases(event, replayed);
+      for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+        const auto phase = static_cast<obs::Phase>(p);
+        EXPECT_NEAR(replayed.get(phase), result.metrics.phases.get(phase),
+                    1e-9 * result.metrics.time_us)
+            << result.protocol << " setup " << static_cast<int>(setup)
+            << " phase " << to_string(phase);
+      }
+    }
+  }
+}
+
 TEST(Trace, NoiseAndCirclesShowUpAsEvents) {
-  obs::MetricsRegistry registry;
-  obs::RegistrySink sink(registry);
-  obs::Tracer tracer(&sink);
+  obs::RingBufferSink ring(1u << 16);
   const auto result =
-      traced_run(core::ProtocolKind::kEhpp, 800, tracer, 11, 0.15);
-  EXPECT_EQ(registry.counter_value("events.circle_begin"),
+      traced_run(core::ProtocolKind::kEhpp, 800, ring, 11, 0.15);
+  ASSERT_EQ(ring.dropped(), 0u);
+  const auto events = ring.snapshot();
+  EXPECT_EQ(count_kind(events, obs::EventKind::kCircleBegin),
             result.metrics.circles);
-  EXPECT_EQ(registry.counter_value("events.corrupted"),
+  EXPECT_EQ(count_kind(events, obs::EventKind::kCorrupted),
             result.metrics.corrupted);
-  EXPECT_EQ(registry.counter_value("events.round_begin"),
+  EXPECT_EQ(count_kind(events, obs::EventKind::kRoundBegin),
             result.metrics.rounds);
   EXPECT_GT(result.metrics.corrupted, 0u);
   EXPECT_GT(result.metrics.circles, 0u);
@@ -141,8 +215,7 @@ TEST(Trace, NoiseAndCirclesShowUpAsEvents) {
 
 TEST(Trace, DisabledTracerIsByteIdentical) {
   obs::RingBufferSink ring(8);
-  obs::Tracer tracer(&ring);
-  const auto with = traced_run(core::ProtocolKind::kTpp, 600, tracer);
+  const auto with = traced_run(core::ProtocolKind::kTpp, 600, ring);
   Xoshiro256ss rng(2026);
   const auto pop = tags::TagPopulation::uniform_random(600, rng);
   sim::SessionConfig config;
@@ -307,42 +380,6 @@ TEST(Histogram, UnderflowAndOverflowAreBucketed) {
   EXPECT_DOUBLE_EQ(h.max(), 50.0);
 }
 
-TEST(Histogram, MergeIsExactAndAssociative) {
-  auto make = [](std::uint64_t seed, int count) {
-    auto h = obs::Histogram::linear(0.0, 1000.0, 50);
-    Xoshiro256ss rng(seed);
-    for (int i = 0; i < count; ++i)
-      h.record(static_cast<double>(rng.below(1200)));
-    return h;
-  };
-  const auto a = make(1, 100), b = make(2, 200), c = make(3, 300);
-  auto ab_c = a;
-  ab_c.merge(b);
-  ab_c.merge(c);
-  auto bc = b;
-  bc.merge(c);
-  auto a_bc = a;
-  a_bc.merge(bc);
-  EXPECT_EQ(ab_c.count(), 600u);
-  EXPECT_EQ(ab_c.counts(), a_bc.counts());
-  EXPECT_DOUBLE_EQ(ab_c.min(), a_bc.min());
-  EXPECT_DOUBLE_EQ(ab_c.max(), a_bc.max());
-  // sum is a double fold; association differs, so compare with tolerance.
-  EXPECT_NEAR(ab_c.sum(), a_bc.sum(), 1e-9 * ab_c.sum());
-}
-
-TEST(Histogram, MergeRejectsForeignLayouts) {
-  auto a = obs::Histogram::linear(0.0, 10.0, 10);
-  auto b = obs::Histogram::linear(0.0, 20.0, 10);
-  b.record(1.0);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-  // Merging into a default-constructed histogram adopts the layout.
-  obs::Histogram empty;
-  empty.merge(b);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_TRUE(empty.same_layout(b));
-}
-
 TEST(Histogram, ExponentialEdgesGrowGeometrically) {
   const auto h = obs::Histogram::exponential(100.0, 2.0, 4);
   const auto& edges = h.edges();
@@ -357,122 +394,6 @@ TEST(Histogram, InvalidConstructionThrows) {
   EXPECT_THROW(obs::Histogram::linear(5.0, 5.0, 10), std::invalid_argument);
   EXPECT_THROW(obs::Histogram::exponential(0.0, 2.0, 4),
                std::invalid_argument);
-}
-
-TEST(P2Quantile, TracksUniformMedianAndTail) {
-  obs::P2Quantile p50(0.5), p95(0.95);
-  Xoshiro256ss rng(42);
-  for (int i = 0; i < 20000; ++i) {
-    const double x = static_cast<double>(rng.below(10000));
-    p50.record(x);
-    p95.record(x);
-  }
-  EXPECT_NEAR(p50.value(), 5000.0, 250.0);
-  EXPECT_NEAR(p95.value(), 9500.0, 250.0);
-}
-
-TEST(P2Quantile, SmallSamplesAreExact) {
-  obs::P2Quantile p50(0.5);
-  EXPECT_DOUBLE_EQ(p50.value(), 0.0);
-  p50.record(7.0);
-  EXPECT_DOUBLE_EQ(p50.value(), 7.0);
-  p50.record(1.0);
-  p50.record(9.0);
-  EXPECT_DOUBLE_EQ(p50.value(), 7.0);  // middle of {1, 7, 9}
-}
-
-// --- Registry ---------------------------------------------------------------
-
-TEST(Registry, CountersAndMergeAdoptNames) {
-  obs::MetricsRegistry a, b;
-  ++a.counter("x");
-  b.counter("x") += 4;
-  ++b.counter("y");
-  b.histogram("h", obs::Histogram::linear(0, 10, 5)).record(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.counter_value("x"), 5u);
-  EXPECT_EQ(a.counter_value("y"), 1u);
-  EXPECT_EQ(a.counter_value("never"), 0u);
-  ASSERT_NE(a.find_histogram("h"), nullptr);
-  EXPECT_EQ(a.find_histogram("h")->count(), 1u);
-}
-
-TEST(Registry, JsonIsBalancedAndDeterministic) {
-  obs::MetricsRegistry registry;
-  obs::RegistrySink sink(registry);
-  obs::Tracer tracer(&sink);
-  (void)traced_run(core::ProtocolKind::kTpp, 200, tracer);
-  std::ostringstream a, b;
-  registry.write_json(a);
-  registry.write_json(b, 0);
-  EXPECT_EQ(a.str().empty(), false);
-  EXPECT_EQ(b.str().find('\n'), std::string::npos);
-  std::ptrdiff_t braces = 0, brackets = 0;
-  for (const char c : a.str()) {
-    braces += (c == '{') - (c == '}');
-    brackets += (c == '[') - (c == ']');
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
-}
-
-TEST(Registry, PollsPerRoundCoversEveryRound) {
-  obs::MetricsRegistry registry;
-  obs::RegistrySink sink(registry);
-  obs::Tracer tracer(&sink);
-  const auto result = traced_run(core::ProtocolKind::kHpp, 500, tracer);
-  const obs::Histogram* h = registry.find_histogram("polls_per_round");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), result.metrics.rounds);
-  EXPECT_DOUBLE_EQ(h->sum(), static_cast<double>(result.metrics.polls));
-}
-
-// --- Trial-runner aggregation ----------------------------------------------
-
-TEST(TrialRunner, RegistryMergeMatchesSerialVsPooled) {
-  // Histogram merging is associative and run_trials folds per-trial
-  // registries in trial order, so the pooled aggregate must equal the
-  // serial one exactly — counts bitwise, sums to double-fold identity.
-  protocols::Tpp tpp;
-  parallel::TrialPlan plan;
-  plan.trials = 8;
-  plan.master_seed = 77;
-  plan.collect_registry = true;
-  const auto serial = run_trials(tpp, parallel::uniform_population(300), plan);
-  parallel::ThreadPool pool(4);
-  const auto pooled =
-      run_trials(tpp, parallel::uniform_population(300), plan, &pool);
-
-  const auto* hs = serial.registry.find_histogram("vector_bits_per_poll");
-  const auto* hp = pooled.registry.find_histogram("vector_bits_per_poll");
-  ASSERT_NE(hs, nullptr);
-  ASSERT_NE(hp, nullptr);
-  EXPECT_EQ(hs->count(), 8u * 300u);
-  EXPECT_EQ(hs->counts(), hp->counts());
-  EXPECT_DOUBLE_EQ(hs->sum(), hp->sum());
-  EXPECT_DOUBLE_EQ(hs->mean(), hp->mean());
-  EXPECT_EQ(serial.registry.counter_value("events.reply"),
-            pooled.registry.counter_value("events.reply"));
-
-  // Scalar totals aggregate through Metrics::merge under the same contract.
-  EXPECT_EQ(serial.totals.polls, pooled.totals.polls);
-  EXPECT_EQ(serial.totals.vector_bits, pooled.totals.vector_bits);
-  EXPECT_DOUBLE_EQ(serial.totals.time_us, pooled.totals.time_us);
-  EXPECT_EQ(serial.totals.polls, 8u * 300u);
-  // The merged histogram mean is the population-weighted avg_vector_bits.
-  EXPECT_NEAR(hs->mean(),
-              static_cast<double>(serial.totals.vector_bits) /
-                  static_cast<double>(serial.totals.polls),
-              1e-9);
-}
-
-TEST(TrialRunner, RegistryOffByDefault) {
-  protocols::Tpp tpp;
-  parallel::TrialPlan plan;
-  plan.trials = 2;
-  const auto series = run_trials(tpp, parallel::uniform_population(50), plan);
-  EXPECT_EQ(series.registry.histograms().size(), 0u);
-  EXPECT_EQ(series.totals.polls, 100u);  // totals always aggregate
 }
 
 // --- Strict numeric parsing (shared by the examples) ------------------------

@@ -66,8 +66,9 @@ TEST(TrialRunner, SerialProducesRequestedTrials) {
 }
 
 TEST(TrialRunner, ParallelMatchesSerialExactly) {
-  // The determinism contract: per-trial outcomes are bit-identical whether
-  // trials run on the caller's thread or across a pool.
+  // The determinism contract: per-trial outcomes and the trial-order
+  // Metrics::merge fold are bit-identical whether trials run on the
+  // caller's thread or across a pool.
   protocols::Tpp tpp;
   TrialPlan plan;
   plan.trials = 12;
@@ -82,6 +83,10 @@ TEST(TrialRunner, ParallelMatchesSerialExactly) {
     EXPECT_DOUBLE_EQ(serial.outcomes[t].avg_vector_bits,
                      parallel.outcomes[t].avg_vector_bits);
   }
+  EXPECT_EQ(serial.totals.polls, 12u * 300u);
+  EXPECT_EQ(serial.totals.polls, parallel.totals.polls);
+  EXPECT_EQ(serial.totals.vector_bits, parallel.totals.vector_bits);
+  EXPECT_EQ(serial.totals.time_us, parallel.totals.time_us);  // bitwise
 }
 
 TEST(TrialRunner, DifferentMasterSeedsDifferentSeries) {

@@ -198,11 +198,9 @@ int main(int argc, char** argv) {
   // The JSONL sink has one writer, so a traced run drains serially; reports
   // are byte-identical serial vs pooled, so nothing else changes.
   std::optional<obs::JsonlSink> jsonl;
-  std::optional<obs::Tracer> tracer;
   std::unique_ptr<parallel::ThreadPool> pool;
   if (!options.trace_path.empty()) {
     jsonl.emplace(options.trace_path);
-    tracer.emplace(&*jsonl);
   } else if (const std::uint64_t threads = env_u64("RFID_THREADS", 0);
              threads > 0) {
     pool = std::make_unique<parallel::ThreadPool>(
@@ -213,7 +211,7 @@ int main(int argc, char** argv) {
   deployment_config.readers = options.readers;
   deployment_config.channels = options.channels;
   deployment_config.session.keep_records = false;
-  deployment_config.session.tracer = tracer ? &*tracer : nullptr;
+  deployment_config.session.tracer = jsonl ? &*jsonl : nullptr;
   deployment_config.zone_overlap = options.zone_overlap;
   deployment_config.churn_move_per_tick = options.churn_rate * 0.8;
   deployment_config.churn_depart_per_tick = options.churn_rate * 0.2;
@@ -359,7 +357,7 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(Clock::now() - last_publish).count());
   aggregator.close_all();
   server.stop();
-  if (tracer) tracer->finish();  // flushes the JSONL sink
+  if (jsonl) jsonl->on_finish();  // flushes the JSONL sink
 
   if (!options.final_metrics_path.empty()) {
     std::ofstream final_metrics(options.final_metrics_path);
