@@ -8,6 +8,7 @@
 // polling vector: more cycles per hour for the same air time.
 #include <cstdlib>
 #include <iostream>
+#include <utility>
 
 #include "common/table.hpp"
 #include "core/polling.hpp"
@@ -35,22 +36,20 @@ int main() {
   constexpr double kAlertCelsius = 8.0;
 
   Xoshiro256ss rng(77);
-  std::vector<tags::Tag> sensor_tags;
-  sensor_tags.reserve(kPallets);
+  const auto pallets = tags::TagPopulation::uniform_random(kPallets, rng);
+  BitVec readings;
   std::size_t hot_truth = 0;
-  {
-    const auto base = tags::TagPopulation::uniform_random(kPallets, rng);
-    for (const tags::Tag& tag : base) {
-      // Most pallets sit at 2..6 C; a compressor fault warms a few.
-      double celsius = 2.0 + 4.0 * rng.uniform01();
-      if (rng.bernoulli(0.004)) {
-        celsius = 9.0 + 3.0 * rng.uniform01();
-        ++hot_truth;
-      }
-      sensor_tags.emplace_back(tag.id(), encode_temperature(celsius));
+  for (std::size_t i = 0; i < pallets.size(); ++i) {
+    // Most pallets sit at 2..6 C; a compressor fault warms a few.
+    double celsius = 2.0 + 4.0 * rng.uniform01();
+    if (rng.bernoulli(0.004)) {
+      celsius = 9.0 + 3.0 * rng.uniform01();
+      ++hot_truth;
     }
+    readings.append(encode_temperature(celsius));
   }
-  const tags::TagPopulation room{std::move(sensor_tags)};
+  const tags::TagPopulation room =
+      pallets.with_payloads(16, std::move(readings));
 
   sim::SessionConfig config;
   config.info_bits = 16;

@@ -1,6 +1,7 @@
 #include "core/deployment.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -62,6 +63,21 @@ fault::SupervisorConfig scale_supervisor(fault::SupervisorConfig config,
   config.backoff_initial_ticks *= rotation;
   config.backoff_max_ticks *= rotation;
   return config;
+}
+
+/// Marks, in PlacementRules::place's first pass, a tag that reaches the
+/// neighbour of its home zone.
+constexpr std::uint32_t kReachesFlag = std::uint32_t{1} << 31;
+
+/// The owner of a tag that both `zone` and `alt` reach, given each zone's
+/// ownership seed: the smaller keyed hash of the ID, ties to the lower
+/// index.
+std::size_t pick_owner(IdWords id, std::size_t zone, std::uint64_t zone_seed,
+                       std::size_t alt, std::uint64_t alt_seed) noexcept {
+  const std::uint64_t zone_key = tag_hash_words(zone_seed, id.hi, id.lo);
+  const std::uint64_t alt_key = tag_hash_words(alt_seed, id.hi, id.lo);
+  if (alt_key != zone_key) return alt_key < zone_key ? alt : zone;
+  return std::min(zone, alt);
 }
 
 /// A tick as a churn-horizon entry: saturated at UINT32_MAX, so a stored
@@ -147,12 +163,36 @@ std::size_t PlacementRules::owner_in_zone(IdWords id,
                                           std::size_t zone) const noexcept {
   if (readers_ == 1 || !reaches_neighbor(id)) return zone;
   const std::size_t alt = (zone + 1) % readers_;
-  const std::uint64_t zone_key =
-      tag_hash_words(derive_seed(ownership_seed_, zone), id.hi, id.lo);
-  const std::uint64_t alt_key =
-      tag_hash_words(derive_seed(ownership_seed_, alt), id.hi, id.lo);
-  if (alt_key != zone_key) return alt_key < zone_key ? alt : zone;
-  return std::min(zone, alt);
+  return pick_owner(id, zone, derive_seed(ownership_seed_, zone), alt,
+                    derive_seed(ownership_seed_, alt));
+}
+
+void PlacementRules::place(std::span<const tags::Tag> tags,
+                           std::uint32_t* owners) const {
+  RFID_EXPECTS(readers_ < kReachesFlag);
+  // Pass 1 has no data-dependent branch, so the hashes of neighbouring
+  // tags overlap; a reach test branch per tag would stall on every
+  // mispredicted overlap draw.
+  const bool overlap = readers_ > 1 && zone_overlap_ > 0.0;
+  for (std::size_t i = 0; i < tags.size(); ++i) {
+    const IdWords id = id_words(tags[i].id());
+    const bool reaches = overlap && reaches_neighbor(id);
+    owners[i] =
+        static_cast<std::uint32_t>(home(id)) | (reaches ? kReachesFlag : 0);
+  }
+  if (!overlap) return;
+  // Pass 2: ownership for the flagged tags, with every zone's ownership
+  // seed derived once.
+  std::vector<std::uint64_t> seed(readers_);
+  for (std::size_t z = 0; z < readers_; ++z)
+    seed[z] = derive_seed(ownership_seed_, z);
+  for (std::size_t i = 0; i < tags.size(); ++i) {
+    if ((owners[i] & kReachesFlag) == 0) continue;
+    const std::size_t zone = owners[i] & ~kReachesFlag;
+    const std::size_t alt = (zone + 1) % readers_;
+    owners[i] = static_cast<std::uint32_t>(pick_owner(
+        id_words(tags[i].id()), zone, seed[zone], alt, seed[alt]));
+  }
 }
 
 ChurnPosition PlacementRules::churn_position(
@@ -289,30 +329,7 @@ Deployment::Deployment(const tags::TagPopulation& population,
     policy_.push_back(make_deployment_policy(config_.kind));
   scratch_.resize(shards_);
 
-  // Initial placement: home zone by hash partition, then the ownership
-  // rule for tags that overlap into the neighbor zone. Sharded over the
-  // pool — each shard scans the population and keeps only its readers'
-  // tags, so per-reader insertion order equals population order exactly
-  // as in the serial pass (shard-count invariance by construction).
-  const auto place_range = [this](std::size_t first_reader,
-                                  std::size_t last_reader) {
-    for (const tags::Tag& tag : *population_) {
-      const IdWords id = id_words(tag.id());
-      const std::size_t owner = rules_.owner_in_zone(id, rules_.home(id));
-      if (owner >= first_reader && owner < last_reader)
-        runtime_[owner].active.push_back(&tag);
-    }
-  };
-  if (pool_ != nullptr && shards_ > 1) {
-    for (std::size_t s = 0; s < shards_; ++s) {
-      const std::size_t first = shard_begin_[s];
-      const std::size_t last = shard_begin_[s + 1];
-      pool_->submit([&place_range, first, last] { place_range(first, last); });
-    }
-    pool_->wait_idle();
-  } else {
-    place_range(0, config_.readers);
-  }
+  place();
 
   channels_state_.resize(channels_);
   for (std::size_t c = 0; c < channels_; ++c)
@@ -326,6 +343,38 @@ Deployment::Deployment(const tags::TagPopulation& population,
 }
 
 Deployment::~Deployment() = default;
+
+// Initial placement, serial at any shard count, as a counting sort.
+// Each tag's owner is computed once (PlacementRules::place), each
+// reader's share is sized once, each reader's slots receive the
+// population positions of its tags in population order, and each reader
+// then gathers its tags from them (TagSoA::gather). A reader thus holds
+// its tags in population order. Its columns get the capacity push_back
+// growth would have reached, so a drain's first handoffs into a reader
+// that has not yet run a round do not reallocate them.
+void Deployment::place() {
+  const std::span<const tags::Tag> tags = population_->tags();
+  const std::size_t n = tags.size();
+  const std::size_t readers = config_.readers;
+  RFID_EXPECTS(n < UINT32_MAX);
+  // One scratch allocation: each tag's owner, then each reader's share,
+  // which becomes its fill cursor.
+  std::vector<std::uint32_t> scratch(n + readers, 0);
+  std::uint32_t* const owner = scratch.data();
+  std::uint32_t* const next = owner + n;
+  rules_.place(tags, owner);
+  for (std::size_t i = 0; i < n; ++i) ++next[owner[i]];
+  for (std::size_t r = 0; r < readers; ++r) {
+    tags::TagSoA& active = runtime_[r].active;
+    if (next[r] > 0) active.reserve(std::bit_ceil(std::size_t{next[r]}));
+    active.resize(next[r]);
+    next[r] = 0;
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    runtime_[owner[i]].active.set_slot(next[owner[i]]++,
+                                       static_cast<std::uint32_t>(i));
+  for (std::size_t r = 0; r < readers; ++r) runtime_[r].active.gather(tags);
+}
 
 void Deployment::build_session(std::size_t reader,
                                detail::ReaderRuntime& rt) {

@@ -66,6 +66,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -217,6 +218,11 @@ class PlacementRules final {
   /// Requires zone < readers.
   [[nodiscard]] std::size_t owner_in_zone(IdWords id,
                                           std::size_t zone) const noexcept;
+  /// owner_in_zone(id, home(id)) of every tag, into owners[0, tags.size()).
+  /// The home and reach tests run first, branch-free over every tag; only
+  /// the tags that reach a neighbour then take the ownership hashes.
+  /// Requires readers < 2^31.
+  void place(std::span<const tags::Tag> tags, std::uint32_t* owners) const;
   [[nodiscard]] ChurnPosition churn_position(IdWords id, std::size_t home_zone,
                                              std::uint64_t tick) const noexcept;
   /// A lower bound on the tick of the tag's first churn event, strictly
@@ -291,6 +297,8 @@ class Deployment final {
   void hand_off(std::size_t from);
   void fold_session(detail::ReaderRuntime& rt);
   void build_session(std::size_t reader, detail::ReaderRuntime& rt);
+  /// Fills every reader's active set with the tags it owns at tick 0.
+  void place();
   void run_reader_parallel(std::size_t reader, detail::ReaderRuntime& rt,
                            protocols::RoundPolicy& policy,
                            protocols::RoundScratch& scratch);

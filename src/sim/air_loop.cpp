@@ -48,6 +48,13 @@ bool AirLoop::is_present(const TagId& id) const noexcept {
          injector_.present(id);
 }
 
+void AirLoop::record_reply(const tags::Tag& tag) {
+  const auto position =
+      static_cast<std::size_t>(&tag - population_.tags().data());
+  records_.push_back(CollectedRecord{
+      tag.id(), population_.reply_payload(position, config_.info_bits)});
+}
+
 const tags::Tag* AirLoop::complete_reply(
     std::span<const tags::Tag* const> responders, const tags::Tag* expected,
     double reader_time_us) {
@@ -118,11 +125,7 @@ const tags::Tag* AirLoop::complete_reply(
   ++metrics_.polls;
   ++metrics_.slots_total;
   ++metrics_.slots_useful;
-  if (config_.keep_records) {
-    records_.push_back(
-        CollectedRecord{slot.responder->id(),
-                        slot.responder->reply_payload(config_.info_bits)});
-  }
+  if (config_.keep_records) record_reply(*slot.responder);
   if (config_.tracer != nullptr)
     trace_event(obs::EventKind::kReply, dt, 0, 0, config_.info_bits,
                 reader_time_us, tag_us);
@@ -351,11 +354,7 @@ air::SlotResult AirLoop::frame_slot_aloha(
       ++metrics_.polls;
       ++metrics_.slots_total;
       ++metrics_.slots_useful;
-      if (config_.keep_records) {
-        records_.push_back(
-            CollectedRecord{slot.responder->id(),
-                            slot.responder->reply_payload(config_.info_bits)});
-      }
+      if (config_.keep_records) record_reply(*slot.responder);
       if (config_.tracer != nullptr)
         trace_event(obs::EventKind::kReply, dt, 0, 0, config_.info_bits,
                     reader_us, tag_us);

@@ -40,11 +40,15 @@ class AirLoop final {
   /// All references are borrowed from the owning session and must outlive
   /// the loop. `missing_ids` and `records` are the session's result stores;
   /// the loop appends to them under the same conditions Session always did.
-  AirLoop(const SessionConfig& config, Xoshiro256ss& protocol_rng, air::Channel& channel,
+  /// Every tag a poll is handed must belong to `population`, which
+  /// supplies the recorded replies.
+  AirLoop(const tags::TagPopulation& population, const SessionConfig& config,
+          Xoshiro256ss& protocol_rng, air::Channel& channel,
           fault::FaultInjector& injector, phy::Downlink& downlink,
           Metrics& metrics, std::vector<CollectedRecord>& records,
           std::vector<TagId>& missing_ids) noexcept
-      : config_(config),
+      : population_(population),
+        config_(config),
         protocol_rng_(protocol_rng),
         channel_(channel),
         injector_(injector),
@@ -169,11 +173,15 @@ class AirLoop final {
       std::span<const tags::Tag* const> responders, const tags::Tag* expected,
       double reader_time_us);
 
+  /// Appends `tag`'s record: its ID and its info_bits-long reply.
+  void record_reply(const tags::Tag& tag);
+
   /// Accounting for a poll whose unframed vector was corrupted in flight:
   /// the addressed tag never decoded its index, so the reader waits out the
   /// turn-arounds in silence. Sets last_failure_ = kDownlinkCorrupted.
   void downlink_corrupt_timeout(double reader_time_us);
 
+  const tags::TagPopulation& population_;
   const SessionConfig& config_;
   Xoshiro256ss& protocol_rng_;
   air::Channel& channel_;

@@ -20,8 +20,8 @@ Session::Session(const tags::TagPopulation& population, SessionConfig config)
       protocol_rng_(config_.seed),
       injector_(config_.fault, derive_seed(config_.seed, kFaultStreamIndex)),
       downlink_(config_.timing, config_.framing, injector_, *this),
-      air_(config_, protocol_rng_, channel_, injector_, downlink_, metrics_, records_,
-           missing_ids_) {
+      air_(population, config_, protocol_rng_, channel_, injector_, downlink_,
+           metrics_, records_, missing_ids_) {
   // A recovery policy with no mop-up passes can never consume any retry
   // budget, so an absent tag would be rescheduled forever; reject the
   // configuration up front instead of spinning until the round cap trips.

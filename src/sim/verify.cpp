@@ -48,8 +48,8 @@ VerifyReport verify_complete_collection(const tags::TagPopulation& population,
   for (const CollectedRecord& record : result.records) {
     if (auto msg = account_once(record.id, "collection"); !msg.empty())
       return fail(std::move(msg));
-    const BitVec expected =
-        tags[by_id.find(tags, record.id)].reply_payload(record.payload.size());
+    const BitVec expected = population.reply_payload(
+        by_id.find(tags, record.id), record.payload.size());
     if (!(expected == record.payload))
       return fail("payload mismatch for tag " + record.id.to_hex());
   }

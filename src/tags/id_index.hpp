@@ -1,18 +1,26 @@
-// Flat membership index over the IDs of a tag vector.
+// Membership checks over the IDs of a tag vector.
 //
-// Population builds check every ID for uniqueness, and run verification
-// looks every reported ID up in its population. Both ask "which indexed tag
-// holds this ID?" up to millions of times per run, so the index keeps no
-// per-ID heap node: one array of 32-bit slots holds it all.
+// Two tools answer "does an ID repeat?" without a per-ID heap node:
 //
-// Open addressing with linear probing over a power-of-two array, sized once
-// for at most `capacity` IDs so the load never exceeds 1/2. A slot holds
-// 1 + the position of a tag in the vector being built or checked (0 marks
-// an empty slot). The ID is read through that position at lookup time and
-// compared in full, all 96 bits: two IDs with equal fold64() never alias.
-// The caller passes the vector to every call, so a vector that grows (and
-// reallocates) between calls stays safe. There is no iteration API, so
-// nothing can derive output from slot order.
+//   * has_repeated_id — one bulk pass over a finished vector. The two
+//     uniform population factories draw all n IDs first and check them
+//     here once, and the checking TagPopulation constructor checks its
+//     vector here.
+//   * IdIndex — a per-draw index that answers at every insert. It serves
+//     prefix_clustered, whose category is the kept count mod `categories`
+//     and so must see each repeat as it is drawn; the rerun a uniform
+//     factory falls back to when the bulk pass finds a repeat, which
+//     redraws that repeat where it was drawn; and the lookups by ID of
+//     sim::verify_complete_collection and core::Deployment::finish.
+//
+// IdIndex is open addressing with linear probing over a power-of-two
+// array, sized once for at most `capacity` IDs so the load never exceeds
+// 1/2. A slot holds 1 + the position of a tag in the vector being built or
+// checked (0 marks an empty slot). The ID is read through that position at
+// lookup time and compared in full, all 96 bits: two IDs with equal
+// fold64() never alias. The caller passes the vector to every call, so a
+// vector that grows (and reallocates) between calls stays safe. Neither
+// tool has an iteration API, so nothing can derive output from slot order.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +36,18 @@
 #include "tags/tag.hpp"
 
 namespace rfid::tags {
+
+/// The mean block size has_repeated_id keeps to: a block's table (4-byte
+/// slots, at most half full) stays near 1 MB, about one core's L2.
+inline constexpr std::size_t kIdsPerBlock = std::size_t{1} << 17;
+
+/// True when two of `tags` hold the same ID. One cache-blocked pass: up
+/// to kIdsPerBlock IDs are checked in place through one open-addressing
+/// table; more are first partitioned by the top bits of mix64(fold64())
+/// into blocks of about kIdsPerBlock, so a repeat always lands in its
+/// twin's block, and each block is checked through one such table. Every
+/// probe compares all 96 bits. Requires fewer than 2^32 − 1 tags.
+[[nodiscard]] bool has_repeated_id(std::span<const Tag> tags);
 
 class IdIndex final {
  public:

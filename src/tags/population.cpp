@@ -1,5 +1,7 @@
 #include "tags/population.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "tags/id_index.hpp"
 
@@ -17,29 +19,61 @@ TagId random_id(Xoshiro256ss& id_rng) {
   return id;
 }
 
+/// Draws until `tags` holds `last` IDs, with no check.
+void draw(std::vector<Tag>& tags, std::size_t last, Xoshiro256ss& id_rng) {
+  while (tags.size() < last) tags.emplace_back(random_id(id_rng));
+}
+
+/// Draws until `tags` holds `last` IDs, checking each draw against
+/// `index`. A repeat of a tag at or after `first` is redrawn. A repeat of
+/// an earlier tag is refused: for a shard, redrawing it would make this
+/// slice depend on other shards, not on (seed, shard) alone.
+void draw_redrawing(std::vector<Tag>& tags, IdIndex& index, std::size_t first,
+                    std::size_t last, Xoshiro256ss& id_rng) {
+  while (tags.size() < last) {
+    tags.emplace_back(random_id(id_rng));
+    const std::size_t earlier = index.insert(tags, tags.size() - 1);
+    if (earlier == IdIndex::kAbsent) continue;
+    RFID_EXPECTS(earlier >= first && "duplicate tag ID across shards");
+    tags.pop_back();
+  }
+}
+
 }  // namespace
 
 TagPopulation::TagPopulation(std::vector<Tag> tags) : tags_(std::move(tags)) {
-  IdIndex index(tags_.size());
-  for (std::size_t i = 0; i < tags_.size(); ++i) {
-    const bool unique = index.insert(tags_, i) == IdIndex::kAbsent;
-    RFID_EXPECTS(unique && "duplicate tag ID in population");
-  }
+  RFID_EXPECTS(!has_repeated_id(tags_) && "duplicate tag ID in population");
 }
 
 TagPopulation::TagPopulation(Distinct, std::vector<Tag> tags)
     : tags_(std::move(tags)) {}
 
+BitVec TagPopulation::reply_payload(std::size_t i, std::size_t bits) const {
+  RFID_EXPECTS(i < tags_.size());
+  if (payload_bits_ < bits) return derived_payload(tags_[i].id(), bits);
+  BitVec out;
+  for (std::size_t done = 0; done < bits; done += 64) {
+    const auto chunk =
+        static_cast<unsigned>(std::min<std::size_t>(64, bits - done));
+    out.append_bits(payloads_.read_bits(i * payload_bits_ + done, chunk),
+                    chunk);
+  }
+  return out;
+}
+
 TagPopulation TagPopulation::uniform_random(std::size_t n,
                                             Xoshiro256ss& id_rng) {
+  const Xoshiro256ss start = id_rng;
   std::vector<Tag> tags;
   tags.reserve(n);
+  draw(tags, n, id_rng);
+  if (!has_repeated_id(tags)) return TagPopulation(Distinct{}, std::move(tags));
+  // A repeat: draw again from the saved stream, redrawing each repeat
+  // where it was drawn, as a per-draw check would have.
+  id_rng = start;
+  tags.clear();
   IdIndex index(n);
-  while (tags.size() < n) {
-    tags.emplace_back(random_id(id_rng));
-    if (index.insert(tags, tags.size() - 1) != IdIndex::kAbsent)
-      tags.pop_back();  // a repeat: redraw
-  }
+  draw_redrawing(tags, index, 0, n, id_rng);
   return TagPopulation(Distinct{}, std::move(tags));
 }
 
@@ -49,21 +83,18 @@ TagPopulation TagPopulation::uniform_random_sharded(std::size_t n,
   RFID_EXPECTS(shards >= 1);
   std::vector<Tag> tags;
   tags.reserve(n);
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    Xoshiro256ss shard_id_rng(derive_seed(seed, shard));
+    draw(tags, (shard + 1) * n / shards, shard_id_rng);
+  }
+  if (!has_repeated_id(tags)) return TagPopulation(Distinct{}, std::move(tags));
+  // A repeat: draw again from shard 0, checking each draw.
+  tags.clear();
   IdIndex index(n);
   for (std::size_t shard = 0; shard < shards; ++shard) {
-    const std::size_t first = shard * n / shards;
-    const std::size_t last = (shard + 1) * n / shards;
     Xoshiro256ss shard_id_rng(derive_seed(seed, shard));
-    while (tags.size() < last) {
-      tags.emplace_back(random_id(shard_id_rng));
-      const std::size_t earlier = index.insert(tags, tags.size() - 1);
-      if (earlier == IdIndex::kAbsent) continue;
-      // A repeat within this shard is redrawn. Redrawing a repeat of an
-      // earlier shard's ID would make this slice depend on other shards,
-      // not on (seed, shard) alone, so that repeat is refused.
-      RFID_EXPECTS(earlier >= first && "duplicate tag ID across shards");
-      tags.pop_back();
-    }
+    draw_redrawing(tags, index, shard * n / shards, (shard + 1) * n / shards,
+                   shard_id_rng);
   }
   return TagPopulation(Distinct{}, std::move(tags));
 }
@@ -110,15 +141,19 @@ TagPopulation TagPopulation::prefix_clustered(std::size_t n,
 
 TagPopulation TagPopulation::with_random_payloads(std::size_t bits,
                                                   Xoshiro256ss& id_rng) const {
-  std::vector<Tag> tags;
-  tags.reserve(tags_.size());
-  for (const Tag& tag : tags_) {
-    BitVec payload;
-    for (std::size_t i = 0; i < bits; ++i)
-      payload.push_back(id_rng.bernoulli(0.5));
-    tags.emplace_back(tag.id(), std::move(payload));
-  }
-  return TagPopulation(Distinct{}, std::move(tags));
+  BitVec payloads;
+  for (std::size_t i = 0; i < tags_.size() * bits; ++i)
+    payloads.push_back(id_rng.bernoulli(0.5));
+  return with_payloads(bits, std::move(payloads));
+}
+
+TagPopulation TagPopulation::with_payloads(std::size_t bits,
+                                           BitVec payloads) const {
+  RFID_EXPECTS(payloads.size() == tags_.size() * bits);
+  TagPopulation copy(Distinct{}, tags_);
+  copy.payloads_ = std::move(payloads);
+  copy.payload_bits_ = bits;
+  return copy;
 }
 
 }  // namespace rfid::tags

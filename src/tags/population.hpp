@@ -12,19 +12,28 @@
 //   * prefix_clustered — tags sharing category IDs, the case motivating the
 //                       enhanced-CPP baseline (Section II-B)
 //
-// Uniqueness is checked once per ID, through one tags::IdIndex. A random
-// factory looks each draw up as it is made and redraws a repeat on the
-// spot, then hands the finished vector over without a second pass;
-// sequential IDs and with_random_payloads copies are distinct by
-// construction and skip the check. Only a caller-supplied vector is
-// checked by the public constructor. The index stores 32-bit positions, so
-// a checked population holds fewer than 2^32 − 1 tags.
+// Uniqueness is checked once, in bulk (tags::has_repeated_id). The two
+// uniform factories draw all n IDs, then make one cache-blocked pass over
+// them; the public constructor makes the same pass over the caller's
+// vector. Only when that pass finds a repeat does a factory rerun its
+// draws from the start through the per-draw tags::IdIndex, which redraws
+// each repeat where it was drawn, so every seeded ID, its order and the
+// stream's end state stay what a per-draw check gives. prefix_clustered
+// always checks per draw, because each draw's category depends on how
+// many IDs were kept before it. Sequential IDs and payload copies are
+// distinct by construction and skip the check. Positions are 32-bit, so a
+// checked population holds fewer than 2^32 − 1 tags.
+//
+// Stored payloads, when a population has them, sit in one packed column:
+// payload_bits() bits per tag, in population order. A tag's reply is read
+// through reply_payload.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
+#include "common/bitvec.hpp"
 #include "common/rng.hpp"
 #include "tags/tag.hpp"
 
@@ -47,6 +56,16 @@ class TagPopulation final {
 
   [[nodiscard]] auto begin() const noexcept { return tags_.begin(); }
   [[nodiscard]] auto end() const noexcept { return tags_.end(); }
+
+  /// Stored payload bits per tag; 0 when the population has no payloads.
+  [[nodiscard]] std::size_t payload_bits() const noexcept {
+    return payload_bits_;
+  }
+
+  /// The `bits`-long reply tag `i` transmits when polled: the prefix of
+  /// its stored payload when that holds at least `bits` bits, otherwise
+  /// derived_payload(id, bits).
+  [[nodiscard]] BitVec reply_payload(std::size_t i, std::size_t bits) const;
 
   /// n tags with uniformly random unique 96-bit IDs.
   [[nodiscard]] static TagPopulation uniform_random(std::size_t n,
@@ -73,9 +92,15 @@ class TagPopulation final {
                                                       std::size_t prefix_bits,
                                                       Xoshiro256ss& id_rng);
 
-  /// Returns a copy whose tags carry `bits`-long random sensor payloads.
+  /// Returns a copy whose tags carry `bits`-long random sensor payloads,
+  /// drawn tag by tag, bit by bit, as bernoulli(0.5).
   [[nodiscard]] TagPopulation with_random_payloads(std::size_t bits,
                                                    Xoshiro256ss& id_rng) const;
+
+  /// Returns a copy in which tag i stores bits [i·bits, (i+1)·bits) of
+  /// `payloads`, which must hold exactly size()·bits bits.
+  [[nodiscard]] TagPopulation with_payloads(std::size_t bits,
+                                            BitVec payloads) const;
 
  private:
   /// Marks a vector whose IDs its factory has already proven distinct.
@@ -83,6 +108,8 @@ class TagPopulation final {
   TagPopulation(Distinct, std::vector<Tag> tags);
 
   std::vector<Tag> tags_;
+  BitVec payloads_;
+  std::size_t payload_bits_ = 0;
 };
 
 }  // namespace rfid::tags

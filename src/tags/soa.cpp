@@ -19,6 +19,13 @@ void TagSoA::clear() noexcept {
   slot_.clear();
 }
 
+namespace {
+
+/// How many elements ahead gather() prefetches a tag.
+constexpr std::size_t kGatherPrefetch = 16;
+
+}  // namespace
+
 void TagSoA::push_back(const Tag* tag) {
   const TagId& id = tag->id();
   tag_.push_back(reinterpret_cast<std::uintptr_t>(tag));
@@ -28,11 +35,26 @@ void TagSoA::push_back(const Tag* tag) {
   slot_.push_back(0);
 }
 
-void TagSoA::resize_down(std::size_t n) noexcept {
+void TagSoA::resize(std::size_t n) {
   tag_.resize(n);
   id_hi_.resize(n);
   id_lo_.resize(n);
   slot_.resize(n);
+}
+
+void TagSoA::gather(std::span<const Tag> population) {
+  const std::size_t n = size();
+  for (std::size_t i = 0; i < n; ++i) {
+    // The positions climb, but far apart: fetch ahead.
+    if (i + kGatherPrefetch < n)
+      __builtin_prefetch(&population[slot_[i + kGatherPrefetch]]);
+    const Tag& tag = population[slot_[i]];
+    const TagId& id = tag.id();
+    tag_[i] = reinterpret_cast<std::uintptr_t>(&tag);
+    id_hi_[i] = (static_cast<std::uint64_t>(id.words[0]) << 32) | id.words[1];
+    id_lo_[i] = static_cast<std::uint64_t>(id.words[2]);
+    slot_[i] = 0;
+  }
 }
 
 void TagSoA::compact(const std::vector<char>& done) {
@@ -52,7 +74,7 @@ void TagSoA::compact(const std::vector<char>& done) {
     id_lo_[write] = id_lo_[i];
     write += keep;
   }
-  resize_down(write);
+  resize(write);
 }
 
 void TagSoA::compact_singletons(const std::vector<std::uint32_t>& counts,
@@ -64,7 +86,7 @@ void TagSoA::compact_singletons(const std::vector<std::uint32_t>& counts,
   const std::size_t write = simd::compact_nonsingletons(
       counts.data(), slot_.data(), tag_.data(), id_hi_.data(), id_lo_.data(),
       size(), backend);
-  resize_down(write);
+  resize(write);
 }
 
 void TagSoA::split_circle(std::uint64_t seed, std::uint64_t modulus,
@@ -92,7 +114,7 @@ void TagSoA::split_circle(std::uint64_t seed, std::uint64_t modulus,
     kept += len - joined;
   }
   members.slot_.resize(members.tag_.size(), 0);
-  resize_down(kept);
+  resize(kept);
 }
 
 }  // namespace rfid::tags

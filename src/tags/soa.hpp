@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -42,6 +43,15 @@ class TagSoA final {
   /// rfid::tag_hash_words consumes. The new element's slot is 0 until a
   /// round writes it.
   void push_back(const Tag* tag);
+
+  /// Resizes to exactly `n` elements; new elements are zeroed.
+  void resize(std::size_t n);
+
+  /// Makes each element the tag of `population` at the position its slot
+  /// holds, as push_back would have appended it, and zeroes the slot.
+  /// Placement writes a reader's population positions into the slots of
+  /// a resize()d TagSoA, then gathers its tags in one sequential pass.
+  void gather(std::span<const Tag> population);
 
   [[nodiscard]] const Tag* tag(std::size_t i) const noexcept {
     return reinterpret_cast<const Tag*>(tag_[i]);
@@ -106,9 +116,6 @@ class TagSoA final {
  private:
   static_assert(std::is_same_v<std::uintptr_t, std::uint64_t>,
                 "the kernels move the tag column as 64-bit words");
-
-  /// Truncates to the first `n` elements (n <= size()).
-  void resize_down(std::size_t n) noexcept;
 
   /// The identity columns from element `i` on, as the kernels see them.
   [[nodiscard]] simd::IdColumns columns(std::size_t i) noexcept {

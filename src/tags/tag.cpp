@@ -19,13 +19,4 @@ BitVec derived_payload(const TagId& id, std::size_t bits) {
   return out;
 }
 
-BitVec Tag::reply_payload(std::size_t bits) const {
-  if (payload_.size() >= bits) {
-    BitVec out;
-    for (std::size_t i = 0; i < bits; ++i) out.push_back(payload_.bit(i));
-    return out;
-  }
-  return derived_payload(id_, bits);
-}
-
 }  // namespace rfid::tags

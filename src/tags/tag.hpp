@@ -2,9 +2,12 @@
 //
 // Tags carry a 96-bit EPC identifier plus an m-bit information payload
 // (battery level, temperature, product data — the paper's Section I use
-// cases). Protocol-specific runtime state (picked index, TPP bit array,
-// sleep flag) lives in per-protocol device structs, not here, because a
-// physical tag's identity outlives any one inventory session.
+// cases). A Tag is its ID alone: stored payloads live in one packed column
+// on tags::TagPopulation, read through TagPopulation::reply_payload, so a
+// population of a million tags takes 12 MB. Protocol-specific runtime
+// state (picked index, TPP bit array, sleep flag) lives in per-protocol
+// device structs, not here, because a physical tag's identity outlives any
+// one inventory session.
 #pragma once
 
 #include "common/bitvec.hpp"
@@ -17,31 +20,18 @@ class Tag final {
  public:
   Tag() = default;
   explicit Tag(TagId id) : id_(id) {}
-  Tag(TagId id, BitVec payload) : id_(id), payload_(std::move(payload)) {}
 
   [[nodiscard]] const TagId& id() const noexcept { return id_; }
 
-  /// Raw stored payload (may be empty if the population was created without
-  /// sensor data).
-  [[nodiscard]] const BitVec& stored_payload() const noexcept {
-    return payload_;
-  }
-
-  void set_payload(BitVec payload) { payload_ = std::move(payload); }
-
-  /// The `bits`-long reply this tag transmits when polled. If the stored
-  /// payload is at least `bits` long its prefix is used; otherwise the reply
-  /// is derived deterministically from the ID, so reader-side verification
-  /// can recompute the expected value without a side channel.
-  [[nodiscard]] BitVec reply_payload(std::size_t bits) const;
-
  private:
   TagId id_{};
-  BitVec payload_{};
 };
 
-/// The deterministic payload derivation used when a tag has no stored sensor
-/// data; exposed so tests and the session verifier share one definition.
+static_assert(sizeof(Tag) == sizeof(TagId), "a Tag is its 96-bit ID alone");
+
+/// The deterministic payload a tag with no long enough stored payload
+/// replies with, derived from its ID, so reader-side verification can
+/// recompute the expected value without a side channel.
 [[nodiscard]] BitVec derived_payload(const TagId& id, std::size_t bits);
 
 }  // namespace rfid::tags

@@ -348,6 +348,34 @@ TEST(AllocGuard, DeploymentDrainAllocatesFewerTimesThanReaders) {
   }
 }
 
+TEST(AllocGuard, DeploymentConstructionSizesSharesOnce) {
+  // Placement counts each reader's share before it fills any, so a serial
+  // construction sizes every reader's four TagSoA columns once. Beyond
+  // what a construction over an empty population allocates, it may
+  // allocate at most four times per reader. Growing the columns tag by
+  // tag costs about ten reallocations per column at 300 tags per reader.
+  constexpr std::size_t kReaders = 64;
+  Xoshiro256ss id_rng(kSeed + 6);
+  const tags::TagPopulation population =
+      tags::TagPopulation::uniform_random(20000, id_rng);
+  const tags::TagPopulation nobody;
+  core::DeploymentConfig config;
+  config.readers = kReaders;
+  config.channels = 8;
+  config.session.seed = kSeed;
+  config.session.keep_records = false;  // records reserve per population
+  const auto construction_allocs = [&config](const tags::TagPopulation& pop) {
+    const alloc_guard::Probe probe;
+    const core::Deployment deployment(pop, config);
+    EXPECT_EQ(deployment.active_remaining(), pop.size());
+    return probe.delta();
+  };
+  const std::uint64_t empty = construction_allocs(nobody);
+  const std::uint64_t full = construction_allocs(population);
+  EXPECT_LE(full, empty + 4 * kReaders)
+      << "empty population: " << empty << ", 20000 tags: " << full;
+}
+
 TEST(AllocGuard, CheckpointEncodeIntoWarmBufferAllocationFree) {
   // simserved snapshots on every epoch boundary; once the byte buffer has
   // grown to its high-water size, re-encoding must allocate nothing.

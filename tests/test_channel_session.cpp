@@ -222,7 +222,7 @@ TEST(Verify, DetectsPayloadCorruption) {
   auto result = session.finish("x");
   result.records[0].payload = BitVec("0");
   // Flip the payload bit so it cannot match the derived value.
-  if (pop[0].reply_payload(1) == result.records[0].payload)
+  if (pop.reply_payload(0, 1) == result.records[0].payload)
     result.records[0].payload = BitVec("1");
   // Re-find the record for tag 0 (records are in poll order).
   const auto verify = sim::verify_complete_collection(pop, result);
