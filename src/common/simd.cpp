@@ -6,6 +6,7 @@
 // RFID_SIMD=ON/OFF builds differ in exactly this one object file.
 #include "common/simd.hpp"
 
+#include "common/error.hpp"
 #include "common/hash.hpp"
 
 #if defined(RFID_SIMD_ENABLED) && RFID_SIMD_ENABLED
@@ -15,6 +16,8 @@
 #endif
 #endif
 
+#include <algorithm>
+#include <array>
 #include <bit>
 
 namespace rfid::simd {
@@ -270,46 +273,63 @@ __attribute__((target("avx512f,avx512dq"))) std::size_t
 split_members_avx512(std::uint64_t seed, std::uint64_t mask,
                      std::uint64_t threshold, IdColumns in, IdColumns keep,
                      IdColumns join, std::size_t n) noexcept {
-  // hash_indices_avx512's hash chain, then one unsigned compare of the
-  // masked hash against f gives the member mask. Compress stores send the
-  // non-members to the keep cursor and the members to the join cursor.
+  // Two passes per block. Pass 1 hashes each 8-element group as
+  // hash_indices_avx512 does and keeps only its member mask: no branch and
+  // no store but the mask. It takes the low log2(F) bits by shifting up
+  // and back down (a shift by 64 yields 0, exact for F = 1); GCC folds an
+  // `& (F - 1)` into a vpternlogd that halved the loop's speed. Pass 2
+  // reloads each group, compress-stores the non-members at the keep
+  // cursor and, if there are any, the members at the join cursor; its
+  // branch reads a settled mask, so a mispredict discards no hash work.
   // keep + kept never passes in + i, and a compress store writes exactly
   // popcount(mask) elements, so an in-place split never overwrites an
-  // element a later iteration still has to load.
+  // element a later group still has to load.
   const __m512i seeded = _mm512_set1_epi64(
       static_cast<long long>(mix64(seed ^ 0x2545f4914f6cdd1dULL)));
   const __m512i golden =
       _mm512_set1_epi64(static_cast<long long>(0x9e3779b97f4a7c15ULL));
-  const __m512i low_bits = _mm512_set1_epi64(static_cast<long long>(mask));
+  const __m128i drop = _mm_cvtsi32_si128(std::countl_zero(mask));
   const __m512i limit = _mm512_set1_epi64(static_cast<long long>(threshold));
+  std::array<__mmask8, kSplitBlock / 8> member{};
+  const std::size_t vector_n = n - n % 8;
   std::size_t kept = 0;
   std::size_t joined = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i hi = _mm512_loadu_si512(in.id_hi + i);
-    const __m512i lo = _mm512_loadu_si512(in.id_lo + i);
-    __m512i acc = mix64x8(_mm512_xor_si512(seeded, hi));
-    acc = mix64x8(_mm512_xor_si512(acc, _mm512_mullo_epi64(lo, golden)));
-    const __mmask8 member =
-        _mm512_cmplt_epu64_mask(_mm512_and_si512(acc, low_bits), limit);
-    const __mmask8 stay = static_cast<__mmask8>(~member);
-    const __m512i payload = _mm512_loadu_si512(in.payload + i);
-    _mm512_mask_compressstoreu_epi64(keep.payload + kept, stay, payload);
-    _mm512_mask_compressstoreu_epi64(keep.id_hi + kept, stay, hi);
-    _mm512_mask_compressstoreu_epi64(keep.id_lo + kept, stay, lo);
-    if (member != 0) {
-      _mm512_mask_compressstoreu_epi64(join.payload + joined, member, payload);
-      _mm512_mask_compressstoreu_epi64(join.id_hi + joined, member, hi);
-      _mm512_mask_compressstoreu_epi64(join.id_lo + joined, member, lo);
+  for (std::size_t block = 0; block < vector_n; block += kSplitBlock) {
+    const std::size_t groups = std::min(kSplitBlock, vector_n - block) / 8;
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::size_t i = block + 8 * g;
+      const __m512i hi = _mm512_loadu_si512(in.id_hi + i);
+      const __m512i lo = _mm512_loadu_si512(in.id_lo + i);
+      __m512i acc = mix64x8(_mm512_xor_si512(seeded, hi));
+      acc = mix64x8(_mm512_xor_si512(acc, _mm512_mullo_epi64(lo, golden)));
+      const __m512i low = _mm512_srl_epi64(_mm512_sll_epi64(acc, drop), drop);
+      member[g] = _mm512_cmplt_epu64_mask(low, limit);
     }
-    kept += static_cast<std::size_t>(
-        std::popcount(static_cast<unsigned>(stay)));
-    joined += static_cast<std::size_t>(
-        std::popcount(static_cast<unsigned>(member)));
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::size_t i = block + 8 * g;
+      const __mmask8 stay = static_cast<__mmask8>(~member[g]);
+      const __m512i payload = _mm512_loadu_si512(in.payload + i);
+      const __m512i hi = _mm512_loadu_si512(in.id_hi + i);
+      const __m512i lo = _mm512_loadu_si512(in.id_lo + i);
+      _mm512_mask_compressstoreu_epi64(keep.payload + kept, stay, payload);
+      _mm512_mask_compressstoreu_epi64(keep.id_hi + kept, stay, hi);
+      _mm512_mask_compressstoreu_epi64(keep.id_lo + kept, stay, lo);
+      if (member[g] != 0) {
+        _mm512_mask_compressstoreu_epi64(join.payload + joined, member[g],
+                                         payload);
+        _mm512_mask_compressstoreu_epi64(join.id_hi + joined, member[g], hi);
+        _mm512_mask_compressstoreu_epi64(join.id_lo + joined, member[g], lo);
+      }
+      kept += static_cast<std::size_t>(
+          std::popcount(static_cast<unsigned>(stay)));
+      joined += static_cast<std::size_t>(
+          std::popcount(static_cast<unsigned>(member[g])));
+    }
   }
-  return joined + split_members_scalar(seed, mask, threshold, advance(in, i),
+  return joined + split_members_scalar(seed, mask, threshold,
+                                       advance(in, vector_n),
                                        advance(keep, kept),
-                                       advance(join, joined), n - i);
+                                       advance(join, joined), n - vector_n);
 }
 
 __attribute__((target("avx512f,avx512dq"))) std::size_t
@@ -402,8 +422,10 @@ std::size_t compact_nonsingletons(const std::uint32_t* counts,
 std::size_t split_members(std::uint64_t seed, std::uint64_t modulus,
                           std::uint64_t threshold, IdColumns in, IdColumns keep,
                           IdColumns join, std::size_t n, Backend backend) {
-  // Only AVX-512 has the masked compress store a one-pass split needs;
-  // AVX2 runs the scalar reference, which splits exactly the same way.
+  // Only AVX-512 has the masked compress store the split needs; AVX2 runs
+  // the scalar reference, which splits exactly the same way. Its low-bit
+  // shift equals the reference's mask only for a power-of-two modulus.
+  RFID_EXPECTS(std::has_single_bit(modulus));
   const std::uint64_t mask = modulus - 1;
 #if defined(RFID_SIMD_X86)
   if (backend == Backend::kAvx512 && best_backend() == Backend::kAvx512)

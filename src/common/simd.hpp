@@ -93,15 +93,21 @@ struct IdColumns final {
   std::uint64_t* id_lo;
 };
 
-/// EHPP's circle split in one pass: element i of `in` joins the circle iff
+/// Elements the AVX-512 circle split hashes before it moves any: one
+/// member mask per 8-element group, kept on the stack.
+inline constexpr std::size_t kSplitBlock = 256;
+
+/// EHPP's circle split: element i of `in` joins the circle iff
 /// (tag_hash_words(seed, id_hi[i], id_lo[i]) & (modulus - 1)) < threshold,
-/// which is H(r, id) mod F < f for a power-of-two modulus F. Members are
-/// copied, in order, to `join` (room for n); non-members are copied, in
-/// order, to `keep`, which may alias `in` as long as it does not run ahead
-/// of it, so the split can compact in place. Returns the member count.
-/// Membership depends only on (seed, id_hi[i], id_lo[i], modulus,
-/// threshold), so every backend splits identically: AVX-512 uses masked
-/// compress stores, every other backend runs the scalar reference.
+/// which is H(r, id) mod F < f for the power-of-two modulus F (a contract
+/// violation otherwise). Members are copied, in order, to `join` (room for
+/// n); non-members are copied, in order, to `keep`, which may alias `in`
+/// as long as it does not run ahead of it, so the split can compact in
+/// place. Returns the member count. Membership depends only on (seed,
+/// id_hi[i], id_lo[i], modulus, threshold), so every backend splits
+/// identically: AVX-512 masks a block of kSplitBlock elements, then moves
+/// it with masked compress stores; every other backend runs the scalar
+/// reference.
 std::size_t split_members(std::uint64_t seed, std::uint64_t modulus,
                           std::uint64_t threshold, IdColumns in, IdColumns keep,
                           IdColumns join, std::size_t n, Backend backend);

@@ -10,12 +10,15 @@
 
 namespace rfid::protocols {
 
-std::size_t Ehpp::effective_subset_size() const {
-  if (config_.subset_size != 0) return config_.subset_size;
-  return analysis::ehpp_optimal_subset_size(
-      static_cast<double>(config_.circle_command_bits),
-      static_cast<double>(config_.round_init_bits));
-}
+Ehpp::Ehpp() : Ehpp(Config()) {}
+
+Ehpp::Ehpp(Config config)
+    : config_(config),
+      subset_size_(config.subset_size != 0
+                       ? config.subset_size
+                       : analysis::ehpp_optimal_subset_size(
+                             static_cast<double>(config.circle_command_bits),
+                             static_cast<double>(config.round_init_bits))) {}
 
 bool run_ehpp_circle(sim::Session& session, RoundEngine& engine,
                      tags::TagSoA& active, const Ehpp::Config& config,
@@ -75,8 +78,7 @@ bool run_ehpp_circle(sim::Session& session, RoundEngine& engine,
 sim::RunResult Ehpp::run(const tags::TagPopulation& population,
                          const sim::SessionConfig& config) const {
   sim::Session session(population, config);
-  const std::size_t subset_target = effective_subset_size();
-  RFID_ENSURES(subset_target >= 1);
+  RFID_ENSURES(subset_size_ >= 1);
 
   tags::TagSoA active = make_devices(session);
   // One coordinator (and hence one engine) spans every circle: a tag's
@@ -91,7 +93,7 @@ sim::RunResult Ehpp::run(const tags::TagPopulation& population,
   fault::RecoveryCoordinator::InitLadder ladder(config.recovery.retry_budget);
   while (!active.empty()) {
     session.check_round_budget();
-    if (run_ehpp_circle(session, engine, active, config_, subset_target)) {
+    if (run_ehpp_circle(session, engine, active, config_, subset_size_)) {
       ladder.note_success();
       continue;
     }

@@ -36,7 +36,7 @@ class Ehpp final : public PollingProtocol {
   };
 
   Ehpp();
-  explicit Ehpp(Config config) : config_(config) {}
+  explicit Ehpp(Config config);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "EHPP";
@@ -46,14 +46,16 @@ class Ehpp final : public PollingProtocol {
       const tags::TagPopulation& population,
       const sim::SessionConfig& config) const override;
 
-  /// The subset size a run with this configuration will use.
-  [[nodiscard]] std::size_t effective_subset_size() const;
+  /// The subset size a run with this configuration uses, derived once at
+  /// construction.
+  [[nodiscard]] std::size_t effective_subset_size() const noexcept {
+    return subset_size_;
+  }
 
  private:
   Config config_;
+  std::size_t subset_size_;
 };
-
-inline Ehpp::Ehpp() : config_(Config()) {}
 
 /// One EHPP circle (circle command, membership selection, HPP rounds over
 /// the joined subset — or plain HPP when `active` is already at most
