@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "analysis/degradation.hpp"
+#include "analysis/ehpp_model.hpp"
 #include "common/rng.hpp"
 #include "core/polling.hpp"
 #include "obs/phase_timer.hpp"
@@ -270,16 +271,26 @@ TEST(Adaptive, TierCostModelCrossesOver) {
   analysis::ChannelModel clean{0.0, 32, 9};
   analysis::ChannelModel dirty{0.1, 32, 9};
   const std::size_t n = 1000;
-  EXPECT_LT(analysis::tier_cost_per_tag(analysis::PollingTier::kTpp, n, clean),
-            analysis::tier_cost_per_tag(analysis::PollingTier::kHpp, n, clean));
-  EXPECT_GT(analysis::tier_cost_per_tag(analysis::PollingTier::kTpp, n, dirty),
-            analysis::tier_cost_per_tag(analysis::PollingTier::kHpp, n, dirty));
-  EXPECT_EQ(analysis::select_tier(analysis::PollingTier::kTpp, n, clean),
+  const std::size_t n_star = analysis::ehpp_optimal_subset_size(128.0, 32.0);
+  EXPECT_LT(
+      analysis::tier_cost_per_tag(analysis::PollingTier::kTpp, n, clean,
+                                  n_star),
+      analysis::tier_cost_per_tag(analysis::PollingTier::kHpp, n, clean,
+                                  n_star));
+  EXPECT_GT(
+      analysis::tier_cost_per_tag(analysis::PollingTier::kTpp, n, dirty,
+                                  n_star),
+      analysis::tier_cost_per_tag(analysis::PollingTier::kHpp, n, dirty,
+                                  n_star));
+  EXPECT_EQ(analysis::select_tier(analysis::PollingTier::kTpp, n, clean,
+                                  n_star),
             analysis::PollingTier::kTpp);
-  EXPECT_NE(analysis::select_tier(analysis::PollingTier::kTpp, n, dirty),
+  EXPECT_NE(analysis::select_tier(analysis::PollingTier::kTpp, n, dirty,
+                                  n_star),
             analysis::PollingTier::kTpp);
   // Downgrade-only ladder: from HPP there is nowhere further down.
-  EXPECT_EQ(analysis::select_tier(analysis::PollingTier::kHpp, n, dirty),
+  EXPECT_EQ(analysis::select_tier(analysis::PollingTier::kHpp, n, dirty,
+                                  n_star),
             analysis::PollingTier::kHpp);
 }
 
