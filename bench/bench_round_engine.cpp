@@ -83,7 +83,7 @@ DrainResult drain_once(const PolicyConfig& policy_config, std::size_t n,
     // layer's job and runs on its own cadence, not per round).
     if (stream != nullptr)
       stream->update_reader(0, session.metrics(),
-                            session.downlink().estimated_ber());
+                            session.air().estimated_ber());
     const std::uint64_t delta = allocation_count() - before;
     if (result.rounds == 0)
       result.first_round_allocs = delta;

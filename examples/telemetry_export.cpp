@@ -1,7 +1,7 @@
-// Machine-readable telemetry: run one inventory with per-round tracing and
-// emit the full result as JSON on stdout (dashboards, regression tooling).
-// Optionally streams the air-interface event trace as JSON Lines — one
-// typed event per broadcast/poll/reply/slot (see docs/observability.md).
+// Machine-readable telemetry: run one inventory and emit the full result as
+// JSON on stdout (dashboards, regression tooling). Optionally streams the
+// air-interface event trace as JSON Lines — one typed event per round start,
+// broadcast, poll, reply and slot (see docs/observability.md).
 //
 //   ./telemetry_export [protocol] [n] [--trace-jsonl PATH]
 //     defaults: TPP 2000; n must be a positive base-10 integer
@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   const auto population = tags::TagPopulation::uniform_random(n, rng);
   sim::SessionConfig config;
   config.seed = 7;
-  config.keep_trace = true;
   config.keep_records = false;
 
   // The sink must outlive the run; it flushes on session finish.

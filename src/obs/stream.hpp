@@ -51,7 +51,7 @@ namespace rfid::obs {
 /// completed inventory epoch plus the running session's cumulative metrics.
 struct ReaderTelemetry final {
   Metrics metrics{};          ///< completed epochs ⊕ live session (in order)
-  double ber_estimate = 0.0;  ///< live downlink BER estimate (phy::Downlink)
+  double ber_estimate = 0.0;  ///< live downlink BER (AirLoop::estimated_ber)
   std::uint64_t epochs = 0;   ///< completed inventory drains
   std::uint64_t retry_budget = 0;  ///< recovery re-polls allowed per tag
   ReaderHealth health = ReaderHealth::kHealthy;  ///< supervisor's view

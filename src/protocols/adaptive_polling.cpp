@@ -25,11 +25,11 @@ analysis::PollingTier next_tier(sim::Session& session, std::size_t unread,
                                 analysis::PollingTier tier,
                                 const Ehpp::Config& ehpp,
                                 std::size_t ehpp_subset_size) {
-  const phy::Downlink& downlink = session.downlink();
-  if (downlink.attempts() < kMinObservations) return tier;
+  const sim::AirLoop& air = session.air();
+  if (air.downlink_attempts() < kMinObservations) return tier;
   const phy::FramingConfig& framing = session.config().framing;
   analysis::ChannelModel channel;
-  channel.ber = downlink.estimated_ber();
+  channel.ber = air.estimated_ber();
   channel.segment_payload_bits = framing.segment_payload_bits;
   channel.max_attempts = 1 + framing.max_retransmissions;
   const analysis::PollingTier next = analysis::select_tier(

@@ -90,7 +90,7 @@ sim::RunResult CodedPolling::run(const tags::TagPopulation& population,
 
     // Coded frame: 96 XOR bits are the polling payload (48 per tag); the
     // two validator fields are framing overhead outside the w accounting.
-    session.downlink().broadcast_command_bits(2 * 16);
+    session.air().broadcast_command_bits(2 * 16);
     const tags::Tag* read_a =
         session.air().poll_bare(present_only(role_a), &a, kTagIdBits);
     const tags::Tag* read_b =

@@ -47,8 +47,8 @@ sim::RunResult PrefixCpp::run(const tags::TagPopulation& population,
   for (const auto& [prefix, members] : groups) {
     // Select command: framing overhead plus the mask itself. Tags matching
     // the mask stay active for the suffix polls; others ignore them.
-    session.downlink().broadcast_command_bits(config_.select_overhead_bits +
-                                   config_.prefix_bits);
+    session.air().broadcast_command_bits(config_.select_overhead_bits +
+                                         config_.prefix_bits);
     for (const tags::Tag* target : members) {
       const tags::Tag* responder = target;
       const bool present = session.is_present(target->id());

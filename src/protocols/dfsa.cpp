@@ -39,7 +39,7 @@ sim::RunResult Dfsa::run(const tags::TagPopulation& population,
         floor_slots,
         std::llround(config_.frame_factor * sizing_base)));
     const std::uint64_t seed = session.protocol_rng()();
-    session.downlink().broadcast_command_bits(config_.frame_command_bits);
+    session.air().broadcast_command_bits(config_.frame_command_bits);
 
     // Tag side: each unread tag picks its slot from the broadcast seed.
     responders.assign(f, {});

@@ -39,11 +39,11 @@ bool run_ehpp_circle(sim::Session& session, RoundEngine& engine,
   if (session.framing_enabled()) {
     // The long circle frame spans several CRC segments; all of them must
     // survive or no tag knows the membership rule and the circle is off.
-    if (!session.downlink().broadcast_framed(config.circle_command_bits,
-                                             /*count_in_w=*/true))
+    if (!session.air().broadcast_framed(config.circle_command_bits,
+                                        /*count_in_w=*/true))
       return false;
   } else {
-    session.downlink().broadcast_vector_bits(config.circle_command_bits);
+    session.air().broadcast_vector_bits(config.circle_command_bits);
   }
   RFID_EXPECTS(config.selection_modulus < (1u << 30));
   // The split tests H(r, id) mod F < f as (H & (F - 1)) < f.

@@ -21,13 +21,13 @@ RoundInit HppRoundPolicy::begin_round(sim::Session& session,
     // The round command rides the framed downlink; if it cannot be
     // delivered within the retransmission budget no tag knows <h, r> and
     // the round never runs.
-    if (!session.downlink().broadcast_framed(config_.round_init_bits,
-                                             config_.count_init_in_w))
+    if (!session.air().broadcast_framed(config_.round_init_bits,
+                                        config_.count_init_in_w))
       return RoundInit{false, h, decoded->seed};
   } else if (config_.count_init_in_w) {
-    session.downlink().broadcast_vector_bits(config_.round_init_bits);
+    session.air().broadcast_vector_bits(config_.round_init_bits);
   } else {
-    session.downlink().broadcast_command_bits(config_.round_init_bits);
+    session.air().broadcast_command_bits(config_.round_init_bits);
   }
   return RoundInit{true, h, decoded->seed};
 }

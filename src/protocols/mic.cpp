@@ -55,8 +55,8 @@ sim::RunResult Mic::run(const tags::TagPopulation& population,
     const std::uint64_t seed = session.protocol_rng()();
 
     // Frame command <f, r>, then the indicator vector (entry_bits per slot).
-    session.downlink().broadcast_command_bits(config_.frame_command_bits);
-    session.downlink().broadcast_vector_bits(f * entry_bits);
+    session.air().broadcast_command_bits(config_.frame_command_bits);
+    session.air().broadcast_vector_bits(f * entry_bits);
 
     // Tag side hash evaluation (the reader computes the same values).
     for (MicDevice& device : active)

@@ -65,7 +65,7 @@ TrustedReaderDetection::Report TrustedReaderDetection::detect(
        ++frame) {
     session.begin_round();
     const std::uint64_t seed = session.protocol_rng()();
-    session.downlink().broadcast_command_bits(config_.frame_command_bits);
+    session.air().broadcast_command_bits(config_.frame_command_bits);
 
     std::fill(expected_count.begin(), expected_count.end(), 0u);
     for (auto& r : responders) r.clear();
@@ -105,7 +105,7 @@ PollingAssistedIdentification::identify(
     session.begin_round();
     const std::size_t f = frame_size(config_.frame_factor, devices.size());
     const std::uint64_t seed = session.protocol_rng()();
-    session.downlink().broadcast_command_bits(config_.frame_command_bits);
+    session.air().broadcast_command_bits(config_.frame_command_bits);
 
     std::vector<std::uint32_t> counts(f, 0);
     std::vector<std::size_t> occupant(f, 0);
@@ -166,7 +166,7 @@ BitmapMissingIdentification::Report BitmapMissingIdentification::identify(
                               ? frame_size(config_.frame_factor, active.size())
                               : 1;
     const std::uint64_t seed = session.protocol_rng()();
-    session.downlink().broadcast_command_bits(config_.frame_command_bits);
+    session.air().broadcast_command_bits(config_.frame_command_bits);
 
     counts.assign(f, 0);
     occupant.assign(f, 0);

@@ -21,11 +21,11 @@ RoundInit TppRoundPolicy::begin_round(sim::Session& session,
   const unsigned h = static_cast<unsigned>(std::clamp(offset_h, min_h, 30));
   const std::uint64_t seed = session.protocol_rng()();
   if (session.framing_enabled()) {
-    if (!session.downlink().broadcast_framed(config_.round_init_bits,
-                                             /*count_in_w=*/false))
+    if (!session.air().broadcast_framed(config_.round_init_bits,
+                                        /*count_in_w=*/false))
       return RoundInit{false, h, seed, Addressing::kTreeSegment};
   } else {
-    session.downlink().broadcast_command_bits(config_.round_init_bits);
+    session.air().broadcast_command_bits(config_.round_init_bits);
   }
   return RoundInit{true, h, seed, Addressing::kTreeSegment};
 }
@@ -82,7 +82,7 @@ void TppRoundPolicy::dispatch(RoundEngine& engine, tags::TagSoA& active) {
         ++k;
       }
       const bool delivered =
-          session.downlink().broadcast_framed(chunk_bits, /*count_in_w=*/true);
+          session.air().broadcast_framed(chunk_bits, /*count_in_w=*/true);
       for (const std::size_t i : chunk) {
         const tags::Tag* tag = active.tag(i);
         if (!delivered) {

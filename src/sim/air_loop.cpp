@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <string>
 
 #include "common/error.hpp"
+#include "phy/framing.hpp"
 
 namespace rfid::sim {
 
@@ -41,6 +43,115 @@ void AirLoop::trace_event(obs::EventKind kind, double duration_us,
   event.detail = detail;
   event.recovery = recovery || in_recovery_;
   config_.tracer->on_event(event);
+}
+
+void AirLoop::broadcast_vector_bits(std::size_t bits) {
+  const double dt = config_.timing.reader_tx_us(bits);
+  metrics_.vector_bits += bits;
+  metrics_.time_us += dt;
+  add_phase(obs::Phase::kReaderVector, dt);
+  if (config_.tracer != nullptr)
+    trace_event(obs::EventKind::kReaderBroadcast, dt, bits, 0, 0, dt, 0.0);
+}
+
+void AirLoop::broadcast_command_bits(std::size_t bits) {
+  const double dt = config_.timing.reader_tx_us(bits);
+  metrics_.command_bits += bits;
+  metrics_.time_us += dt;
+  add_phase(obs::Phase::kCommand, dt);
+  if (config_.tracer != nullptr)
+    trace_event(obs::EventKind::kReaderBroadcast, dt, 0, bits, 0, dt, 0.0);
+}
+
+bool AirLoop::unframed_corrupts(std::size_t vector_bits) {
+  if (vector_bits == 0 || !injector_.ber_active()) return false;
+  ++downlink_attempts_;
+  downlink_attempt_bits_ += vector_bits;
+  if (!injector_.corrupt_downlink(vector_bits)) return false;
+  ++downlink_failures_;
+  return true;
+}
+
+bool AirLoop::broadcast_framed(std::size_t payload_bits, bool count_in_w) {
+  const phy::FramingConfig& framing = config_.framing;
+  RFID_EXPECTS(framing.enabled);
+  RFID_EXPECTS(framing.segment_payload_bits >= 1);
+  const unsigned max_attempts = 1 + framing.max_retransmissions;
+  std::size_t remaining = payload_bits;
+  std::uint64_t seq = 0;
+  while (remaining > 0) {
+    const std::size_t seg =
+        std::min<std::size_t>(remaining, framing.segment_payload_bits);
+    const std::size_t frame_bits = seg + phy::kSegmentOverheadBits;
+    bool delivered = false;
+    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
+      if (attempt == 1) {
+        // First attempt: payload accounted as the unframed broadcast would
+        // have been, the <seq><crc16> wrapper as command overhead.
+        const double dt = config_.timing.reader_tx_us(frame_bits);
+        const double payload_us = config_.timing.reader_tx_us(seg);
+        (count_in_w ? metrics_.vector_bits : metrics_.command_bits) += seg;
+        metrics_.command_bits += phy::kSegmentOverheadBits;
+        metrics_.framing_overhead_bits += phy::kSegmentOverheadBits;
+        ++metrics_.segments_sent;
+        metrics_.time_us += dt;
+        add_phase(count_in_w ? obs::Phase::kReaderVector : obs::Phase::kCommand,
+                  payload_us);
+        add_phase(obs::Phase::kCommand, dt - payload_us);
+        if (config_.tracer != nullptr)
+          trace_event(obs::EventKind::kReaderBroadcast, dt,
+                      count_in_w ? seg : 0,
+                      (count_in_w ? 0 : seg) + phy::kSegmentOverheadBits, 0,
+                      dt, 0.0, seq);
+      } else {
+        // Retransmission: exponential backoff, then the whole frame again.
+        // Everything here is corruption-recovery cost — bits land in
+        // command/framing overhead, time in obs::Phase::kRecovery.
+        const double tx_us = config_.timing.reader_tx_us(frame_bits);
+        const double dt = framing.backoff_us(attempt - 1) + tx_us;
+        metrics_.command_bits += frame_bits;
+        metrics_.framing_overhead_bits += frame_bits;
+        ++metrics_.segments_retransmitted;
+        metrics_.time_us += dt;
+        add_phase(obs::Phase::kRecovery, dt);
+        if (config_.tracer != nullptr)
+          trace_event(obs::EventKind::kReaderBroadcast, dt, 0, frame_bits, 0,
+                      tx_us, 0.0, seq, /*recovery=*/true);
+      }
+      ++downlink_attempts_;
+      downlink_attempt_bits_ += frame_bits;
+      if (!injector_.corrupt_downlink(frame_bits)) {
+        delivered = true;
+        break;
+      }
+      ++downlink_failures_;
+      ++metrics_.segments_corrupted;
+      // The reader learns of the CRC failure from the tags' NACK burst in
+      // the T1 listen window that follows every segment of a corrupted
+      // frame; recovery cost, like the retransmission it triggers.
+      const double listen_us = config_.timing.t1_us;
+      metrics_.time_us += listen_us;
+      add_phase(obs::Phase::kRecovery, listen_us);
+      if (config_.tracer != nullptr)
+        trace_event(obs::EventKind::kSegmentCorrupted, listen_us, 0, 0, 0, 0.0,
+                    0.0, seq, /*recovery=*/true);
+    }
+    if (!delivered) return false;
+    remaining -= seg;
+    seq = (seq + 1) & 0xF;
+  }
+  return true;
+}
+
+double AirLoop::estimated_ber() const noexcept {
+  if (downlink_attempts_ == 0 || downlink_failures_ == 0) return 0.0;
+  const double p_corrupt = static_cast<double>(downlink_failures_) /
+                           static_cast<double>(downlink_attempts_);
+  const double avg_bits = static_cast<double>(downlink_attempt_bits_) /
+                          static_cast<double>(downlink_attempts_);
+  if (p_corrupt >= 1.0) return 1.0;
+  // Invert P(frame corrupt) = 1 - (1 - ber)^bits at the mean frame length.
+  return 1.0 - std::pow(1.0 - p_corrupt, 1.0 / avg_bits);
 }
 
 bool AirLoop::is_present(const TagId& id) const noexcept {
@@ -139,7 +250,7 @@ const tags::Tag* AirLoop::poll(std::span<const tags::Tag* const> responders,
   if (config_.framing.enabled && vector_bits > 0) {
     // The vector travels through the framed downlink (its own bit and time
     // accounting); the poll itself then carries only the QueryRep.
-    if (!downlink_.broadcast_framed(vector_bits, /*count_in_w=*/true)) {
+    if (!broadcast_framed(vector_bits, /*count_in_w=*/true)) {
       last_failure_ = PollFailure::kDownlinkExhausted;
       return nullptr;
     }
@@ -154,7 +265,7 @@ const tags::Tag* AirLoop::poll(std::span<const tags::Tag* const> responders,
     trace_event(obs::EventKind::kPoll, 0.0, vector_bits, 0, 0, 0.0, 0.0);
   const double reader_us = config_.timing.reader_tx_us(
       config_.timing.query_rep_bits + vector_bits);
-  if (downlink_.unframed_corrupts(vector_bits)) {
+  if (unframed_corrupts(vector_bits)) {
     downlink_corrupt_timeout(reader_us);
     return nullptr;
   }
@@ -209,7 +320,7 @@ const tags::Tag* AirLoop::poll_bare(
     std::span<const tags::Tag* const> responders, const tags::Tag* expected,
     std::size_t vector_bits) {
   if (config_.framing.enabled && vector_bits > 0) {
-    if (!downlink_.broadcast_framed(vector_bits, /*count_in_w=*/true)) {
+    if (!broadcast_framed(vector_bits, /*count_in_w=*/true)) {
       last_failure_ = PollFailure::kDownlinkExhausted;
       return nullptr;
     }
@@ -221,7 +332,7 @@ const tags::Tag* AirLoop::poll_bare(
   if (config_.tracer != nullptr)
     trace_event(obs::EventKind::kPoll, 0.0, vector_bits, 0, 0, 0.0, 0.0);
   const double reader_us = config_.timing.reader_tx_us(vector_bits);
-  if (downlink_.unframed_corrupts(vector_bits)) {
+  if (unframed_corrupts(vector_bits)) {
     downlink_corrupt_timeout(reader_us);
     return nullptr;
   }

@@ -1,14 +1,18 @@
-// The reader's air-interface loop: poll/reply/turn-around primitives.
+// The reader's air-interface loop: broadcasts, polls, replies, turn-arounds.
 //
-// One layer above phy::Downlink and one below sim::Session: the AirLoop
-// owns every interaction that involves a tag reply — singleton polls, frame
-// slots, presence slots — applying the C1G2 timing model, arbitrating the
-// shared channel, drawing reply-corruption fates, and classifying every
-// failed poll (PollFailure) so protocols can choose between rescheduling,
-// recovery parking, and loud abandonment. It mutates the session's Metrics,
-// record and missing-id stores through references handed in by the
-// composition root; it holds no protocol state of its own beyond the
-// last-failure classification and the recovery-phase flag.
+// One layer below sim::Session: the AirLoop owns every reader-tag
+// interaction — reader broadcasts (unframed, or CRC-framed with the
+// retransmission ladder of phy/framing.hpp), singleton polls, frame slots,
+// presence slots — applying the C1G2 timing model, arbitrating the shared
+// channel, drawing downlink and reply corruption fates, and classifying
+// every failed poll (PollFailure) so protocols can choose between
+// rescheduling, recovery parking, and loud abandonment. It is the one place
+// that charges the clock: every bit and microsecond lands in the session's
+// Metrics here, each charge named by an obs::Phase through add_phase. It
+// mutates the session's Metrics, record and missing-id stores through
+// references handed in by the composition root; its own state is the
+// downlink corruption statistics behind estimated_ber(), the last-failure
+// classification and the recovery-phase flag.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +22,6 @@
 #include "air/channel.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
-#include "phy/downlink.hpp"
 #include "sim/session_types.hpp"
 #include "tags/population.hpp"
 
@@ -44,18 +47,50 @@ class AirLoop final {
   /// supplies the recorded replies.
   AirLoop(const tags::TagPopulation& population, const SessionConfig& config,
           Xoshiro256ss& protocol_rng, air::Channel& channel,
-          fault::FaultInjector& injector, phy::Downlink& downlink,
-          Metrics& metrics, std::vector<CollectedRecord>& records,
+          fault::FaultInjector& injector, Metrics& metrics,
+          std::vector<CollectedRecord>& records,
           std::vector<TagId>& missing_ids) noexcept
       : population_(population),
         config_(config),
         protocol_rng_(protocol_rng),
         channel_(channel),
         injector_(injector),
-        downlink_(downlink),
         metrics_(metrics),
         records_(records),
         missing_ids_(missing_ids) {}
+
+  // --- Reader broadcasts -----------------------------------------------------
+
+  /// Broadcasts `bits` reader bits that the paper counts into w.
+  void broadcast_vector_bits(std::size_t bits);
+
+  /// Broadcasts `bits` reader bits outside the w accounting (round/circle
+  /// initialization, framing fields).
+  void broadcast_command_bits(std::size_t bits);
+
+  /// Pushes `payload_bits` through the CRC-framed segmented downlink:
+  /// splits into segments of at most framing.segment_payload_bits, wraps
+  /// each in the 20-bit <seq><crc16> frame, and retransmits corrupted
+  /// segments with exponential backoff up to framing.max_retransmissions
+  /// times. First-attempt payload bits are counted into vector_bits when
+  /// `count_in_w` (else command_bits); all framing overhead and every
+  /// retransmission land in command_bits + framing_overhead_bits, with
+  /// retransmission airtime charged to obs::Phase::kRecovery. Returns false
+  /// when any segment stayed corrupt through its whole attempt budget — the
+  /// payload was NOT delivered and the caller must handle the affected tags
+  /// loudly (recovery parking or mark_undelivered).
+  [[nodiscard]] bool broadcast_framed(std::size_t payload_bits,
+                                      bool count_in_w);
+
+  /// Downlink BER estimate inverted from the observed per-frame corruption
+  /// rate (0 before any observation).
+  [[nodiscard]] double estimated_ber() const noexcept;
+
+  /// Downlink transmission attempts observed so far (framed attempts plus
+  /// unframed BER draws); ADAPT's degradation monitor gates on it.
+  [[nodiscard]] std::uint64_t downlink_attempts() const noexcept {
+    return downlink_attempts_;
+  }
 
   // --- Poll interactions ----------------------------------------------------
 
@@ -149,9 +184,7 @@ class AirLoop final {
   [[nodiscard]] bool in_recovery() const noexcept { return in_recovery_; }
 
   /// Phase attribution honouring an open recovery phase: inside one, the
-  /// whole increment lands in kRecovery regardless of `phase`. Public so
-  /// the session's AirtimeSink forwards downlink phase charges through the
-  /// same recovery-aware gate.
+  /// whole increment lands in kRecovery regardless of `phase`.
   void add_phase(obs::Phase phase, double delta_us) noexcept {
     metrics_.phases.add(in_recovery_ ? obs::Phase::kRecovery : phase,
                         delta_us);
@@ -176,6 +209,11 @@ class AirLoop final {
   /// Appends `tag`'s record: its ID and its info_bits-long reply.
   void record_reply(const tags::Tag& tag);
 
+  /// Draws the BER fate of an unframed `vector_bits` downlink (false — and
+  /// no draw — when BER is off), folding the observation into the
+  /// estimated_ber statistics.
+  [[nodiscard]] bool unframed_corrupts(std::size_t vector_bits);
+
   /// Accounting for a poll whose unframed vector was corrupted in flight:
   /// the addressed tag never decoded its index, so the reader waits out the
   /// turn-arounds in silence. Sets last_failure_ = kDownlinkCorrupted.
@@ -186,10 +224,13 @@ class AirLoop final {
   Xoshiro256ss& protocol_rng_;
   air::Channel& channel_;
   fault::FaultInjector& injector_;
-  phy::Downlink& downlink_;
   Metrics& metrics_;
   std::vector<CollectedRecord>& records_;
   std::vector<TagId>& missing_ids_;
+  // Observed downlink corruption statistics feeding estimated_ber().
+  std::uint64_t downlink_attempts_ = 0;
+  std::uint64_t downlink_attempt_bits_ = 0;
+  std::uint64_t downlink_failures_ = 0;
   bool in_recovery_ = false;
   PollFailure last_failure_ = PollFailure::kNone;
 };

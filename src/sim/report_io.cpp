@@ -185,24 +185,6 @@ void write_json(std::ostream& os, const RunResult& result,
     json.end_array();
   }
 
-  if (options.include_trace && !result.trace.empty()) {
-    json.begin_array("trace");
-    for (const RoundSnapshot& snapshot : result.trace) {
-      json.array_object_begin();
-      json.key_value("round", u64(snapshot.round));
-      json.key_value("polls", u64(snapshot.polls_so_far));
-      json.key_value("vector_bits", u64(snapshot.vector_bits_so_far));
-      json.key_value("time_us", num(snapshot.time_us_so_far));
-      for (std::size_t p = 0; p < phase_count; ++p) {
-        const auto phase = static_cast<obs::Phase>(p);
-        json.key_value(std::string(obs::to_string(phase)) + "_us",
-                       num(snapshot.phases_so_far.get(phase)));
-      }
-      json.end_object();
-    }
-    json.end_array();
-  }
-
   json.end_object();
   if (options.indent > 0) os << '\n';
 }

@@ -3,8 +3,8 @@
 // Dashboards and regression tooling want machine-readable run summaries;
 // this hand-rolled emitter (no third-party dependency) writes a RunResult
 // as a single JSON object: protocol, population, every metric, channel
-// stats, missing IDs, and optionally the per-record payloads and the round
-// trace.
+// stats, missing IDs, and optionally the per-record payloads. The per-round
+// view of a run is its obs::TraceSink event stream (kRoundBegin events).
 #pragma once
 
 #include <iosfwd>
@@ -16,7 +16,6 @@ namespace rfid::sim {
 
 struct JsonOptions final {
   bool include_records = false;  ///< per-tag payloads can be large
-  bool include_trace = true;
   int indent = 2;  ///< 0 = compact single line
 };
 

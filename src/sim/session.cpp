@@ -19,9 +19,8 @@ Session::Session(const tags::TagPopulation& population, SessionConfig config)
       config_(std::move(config)),
       protocol_rng_(config_.seed),
       injector_(config_.fault, derive_seed(config_.seed, kFaultStreamIndex)),
-      downlink_(config_.timing, config_.framing, injector_, *this),
-      air_(population, config_, protocol_rng_, channel_, injector_, downlink_,
-           metrics_, records_, missing_ids_) {
+      air_(population, config_, protocol_rng_, channel_, injector_, metrics_,
+           records_, missing_ids_) {
   // A recovery policy with no mop-up passes can never consume any retry
   // budget, so an absent tag would be rescheduled forever; reject the
   // configuration up front instead of spinning until the round cap trips.
@@ -32,11 +31,6 @@ Session::Session(const tags::TagPopulation& population, SessionConfig config)
 void Session::begin_round() {
   ++metrics_.rounds;
   if (injector_.churn_active()) injector_.advance_to_round(metrics_.rounds);
-  if (config_.keep_trace) {
-    trace_.push_back(RoundSnapshot{metrics_.rounds, metrics_.polls,
-                                   metrics_.vector_bits, metrics_.time_us,
-                                   metrics_.phases});
-  }
   if (config_.tracer != nullptr)
     air_.trace_event(obs::EventKind::kRoundBegin, 0.0, 0, 0, 0, 0.0, 0.0);
 }
@@ -70,7 +64,6 @@ RunResult Session::finish(std::string protocol_name) {
   result.records = std::move(records_);
   result.missing_ids = std::move(missing_ids_);
   result.undelivered_ids = std::move(undelivered_ids_);
-  result.trace = std::move(trace_);
   result.fault_layer = config_.fault.enabled() || config_.recovery.enabled ||
                        config_.framing.enabled;
   return result;

@@ -2,19 +2,16 @@
 //
 // The Session is the composition root of the simulation stack. It owns the
 // per-run mutable state — RNG stream, channel, metrics, collected records —
-// and wires together the layered components that do the actual work:
-//
-//   phy::Downlink   — reader broadcasts, CRC framing, retransmission ladder
-//   sim::AirLoop    — poll/reply/turn-around primitives, slot variants
-//   (protocols::RoundEngine and fault::RecoveryCoordinator sit above, in
-//    their own layers, and reach the session through its narrow surface)
+// and wires them into sim::AirLoop, the one component that charges the
+// clock: reader broadcasts, the CRC-framed retransmission ladder, polls,
+// replies, turn-arounds and slots (protocols::RoundEngine and
+// fault::RecoveryCoordinator sit above, in their own layers, and reach the
+// session through its narrow surface).
 //
 // The Session itself keeps only the cross-cutting concerns: run lifecycle
-// (rounds/circles/finish) and the two interfaces the lower/upper layers
-// report through — phy::AirtimeSink (downlink bit and airtime accounting)
-// and fault::RecoveryHost (recovery-phase attribution and undelivered
-// reporting). A protocol implementation is then a pure algorithm over
-// session.air() and session.downlink(); protocol state, such as ADAPT's
+// (rounds/circles/finish) and fault::RecoveryHost (recovery-phase
+// attribution and undelivered reporting). A protocol implementation is then
+// a pure algorithm over session.air(); protocol state, such as ADAPT's
 // degradation tier, lives with its protocol.
 // See docs/architecture.md for the layer diagram and charging rules.
 #pragma once
@@ -28,14 +25,13 @@
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "fault/recovery.hpp"
-#include "phy/downlink.hpp"
 #include "sim/air_loop.hpp"
 #include "sim/session_types.hpp"
 #include "tags/population.hpp"
 
 namespace rfid::sim {
 
-class Session final : private phy::AirtimeSink, public fault::RecoveryHost {
+class Session final : public fault::RecoveryHost {
  public:
   Session(const tags::TagPopulation& population, SessionConfig config);
 
@@ -47,17 +43,14 @@ class Session final : private phy::AirtimeSink, public fault::RecoveryHost {
   [[nodiscard]] Metrics& metrics() noexcept { return metrics_; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
 
-  // --- Layered components ---------------------------------------------------
+  // --- Air interface --------------------------------------------------------
 
-  /// Poll/reply/turn-around primitives (polls, frame slots, presence slots).
+  /// Reader broadcasts (unframed and CRC-framed) and the poll/reply/
+  /// turn-around primitives (polls, frame slots, presence slots).
   [[nodiscard]] AirLoop& air() noexcept { return air_; }
 
-  /// Reader-to-tag broadcasts: unframed bit accounting and the CRC-framed
-  /// retransmission ladder.
-  [[nodiscard]] phy::Downlink& downlink() noexcept { return downlink_; }
-
   [[nodiscard]] bool framing_enabled() const noexcept {
-    return downlink_.framing_enabled();
+    return config_.framing.enabled;
   }
 
   /// True unless a `present` filter excludes `id` or the fault plan's churn
@@ -110,40 +103,6 @@ class Session final : private phy::AirtimeSink, public fault::RecoveryHost {
   [[nodiscard]] RunResult finish(std::string protocol_name);
 
  private:
-  // --- phy::AirtimeSink (downlink accounting) -------------------------------
-  // Each override mirrors one primitive metric mutation of the pre-split
-  // Session, in the same order the Downlink invokes them, so seeded runs
-  // stay byte-identical across the decomposition.
-  void on_reader_payload_bits(std::uint64_t bits, bool count_in_w) override {
-    if (count_in_w)
-      metrics_.vector_bits += bits;
-    else
-      metrics_.command_bits += bits;
-  }
-  void on_framing_overhead_bits(std::uint64_t bits) override {
-    metrics_.command_bits += bits;
-    metrics_.framing_overhead_bits += bits;
-  }
-  void on_segment_sent() override { ++metrics_.segments_sent; }
-  void on_segment_retransmitted() override {
-    ++metrics_.segments_retransmitted;
-  }
-  void on_segment_corrupted() override { ++metrics_.segments_corrupted; }
-  void on_clock_advance(double dt_us) override { metrics_.time_us += dt_us; }
-  void on_phase(obs::Phase phase, double dt_us) override {
-    air_.add_phase(phase, dt_us);
-  }
-  [[nodiscard]] bool tracing() const override {
-    return config_.tracer != nullptr;
-  }
-  void on_trace(obs::EventKind kind, double duration_us,
-                std::uint64_t vector_bits, std::uint64_t command_bits,
-                std::uint64_t tag_bits, double reader_us, double tag_us,
-                std::uint64_t detail, bool recovery) override {
-    air_.trace_event(kind, duration_us, vector_bits, command_bits, tag_bits,
-                     reader_us, tag_us, detail, recovery);
-  }
-
   const tags::TagPopulation* population_;
   SessionConfig config_;
   Xoshiro256ss protocol_rng_;
@@ -153,10 +112,7 @@ class Session final : private phy::AirtimeSink, public fault::RecoveryHost {
   std::vector<CollectedRecord> records_;
   std::vector<TagId> missing_ids_;
   std::vector<TagId> undelivered_ids_;
-  std::vector<RoundSnapshot> trace_;
-  // Layered components; both borrow the members above, so they are
-  // declared (and constructed) last.
-  phy::Downlink downlink_;
+  // Borrows the members above, so it is declared (and constructed) last.
   AirLoop air_;
 };
 

@@ -16,7 +16,6 @@
 #include "common/tag_id.hpp"
 #include "fault/fault_model.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/trace.hpp"
 #include "phy/c1g2.hpp"
 #include "phy/framing.hpp"
@@ -45,8 +44,6 @@ struct SessionConfig final {
   /// family, irrelevant to polling which never collides). Applies to
   /// frame_slot_aloha only.
   double capture_probability = 0.0;
-  /// Record a per-round snapshot trace in the result (diagnostics/plots).
-  bool keep_trace = false;
   /// Trace sink receiving one typed event per air-interface action (see
   /// obs/trace.hpp). Not owned; must outlive the run. Null disables tracing
   /// entirely — the hot-path cost is a single branch on this pointer, and
@@ -71,16 +68,6 @@ struct SessionConfig final {
   phy::FramingConfig framing{};
 };
 
-/// Cumulative snapshot taken at the start of each round/frame.
-struct RoundSnapshot final {
-  std::uint64_t round = 0;
-  std::uint64_t polls_so_far = 0;
-  std::uint64_t vector_bits_so_far = 0;
-  double time_us_so_far = 0.0;
-  /// Per-phase split of time_us_so_far (cumulative, like the other fields).
-  obs::PhaseBreakdown phases_so_far{};
-};
-
 /// One collected (tag, payload) pair.
 struct CollectedRecord final {
   TagId id{};
@@ -98,9 +85,8 @@ struct RunResult final {
   /// Tags the recovery policy gave up on (retry budget exhausted), in the
   /// order they were abandoned. Disjoint from records and missing_ids.
   std::vector<TagId> undelivered_ids;
-  std::vector<RoundSnapshot> trace;  ///< filled when keep_trace is set
   /// True when the run was configured with a fault plan or recovery policy;
-  /// report/trace writers emit the extra fault columns only in that case,
+  /// the JSON report emits the extra fault fields only in that case,
   /// keeping zero-fault output byte-identical to older builds.
   bool fault_layer = false;
 

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <array>
+#include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -17,6 +19,7 @@
 #include "fault/injector.hpp"
 #include "fault/recovery.hpp"
 #include "obs/phase_timer.hpp"
+#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/trial_runner.hpp"
 #include "sim/report_io.hpp"
@@ -177,11 +180,26 @@ TEST(Recovery, MopUpPassesMustBePositiveWhenEnabled) {
 
 // --- Determinism ------------------------------------------------------------
 
+/// A run's result and its full JSONL event stream (obs::JsonlSink).
+struct TracedRun final {
+  sim::RunResult result;
+  std::string events;
+};
+
+TracedRun run_traced(const protocols::PollingProtocol& protocol,
+                     const tags::TagPopulation& pop,
+                     sim::SessionConfig config) {
+  std::ostringstream events;
+  obs::JsonlSink sink(events);
+  config.tracer = &sink;
+  sim::RunResult result = protocol.run(pop, config);
+  return TracedRun{std::move(result), events.str()};
+}
+
 TEST(FaultDeterminism, ChurnScheduleReplaysByteIdentically) {
   const auto pop = make_population(400, 3);
   sim::SessionConfig config;
   config.seed = 11;
-  config.keep_trace = true;
   config.recovery.enabled = true;
   config.recovery.retry_budget = 6;
   config.fault.link = LinkModel::kGilbertElliott;
@@ -190,10 +208,13 @@ TEST(FaultDeterminism, ChurnScheduleReplaysByteIdentically) {
     config.fault.churn.push_back({5, pop[i].id(), ChurnEvent::Kind::kArrive});
   }
   const auto protocol = protocols::make_protocol(ProtocolKind::kHpp);
-  const auto a = protocol->run(pop, config);
-  const auto b = protocol->run(pop, config);
-  EXPECT_EQ(sim::to_json(a, {true, true, 2}), sim::to_json(b, {true, true, 2}));
-  EXPECT_TRUE(a.fault_layer);
+  const TracedRun a = run_traced(*protocol, pop, config);
+  const TracedRun b = run_traced(*protocol, pop, config);
+  EXPECT_EQ(sim::to_json(a.result, {true, 2}),
+            sim::to_json(b.result, {true, 2}));
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_GT(a.result.metrics.rounds, 1u);
+  EXPECT_TRUE(a.result.fault_layer);
 }
 
 TEST(FaultDeterminism, SerialAndPooledTrialsAgreeUnderFaults) {
@@ -333,19 +354,19 @@ TEST(ZeroFault, ExplicitlyDisabledPlanIsByteIdenticalToDefault) {
   const auto pop = make_population(500, 9);
   sim::SessionConfig vanilla;
   vanilla.seed = 71;
-  vanilla.keep_trace = true;
   sim::SessionConfig spelled_out = vanilla;
   spelled_out.fault = FaultConfig{};       // kNone link, empty churn
   spelled_out.recovery = fault::RecoveryConfig{};  // disabled
   for (const ProtocolKind kind :
        {ProtocolKind::kHpp, ProtocolKind::kEhpp, ProtocolKind::kTpp}) {
     const auto protocol = protocols::make_protocol(kind);
-    const auto a = protocol->run(pop, vanilla);
-    const auto b = protocol->run(pop, spelled_out);
-    EXPECT_EQ(sim::to_json(a, {true, true, 2}),
-              sim::to_json(b, {true, true, 2}))
+    const TracedRun a = run_traced(*protocol, pop, vanilla);
+    const TracedRun b = run_traced(*protocol, pop, spelled_out);
+    EXPECT_EQ(sim::to_json(a.result, {true, 2}),
+              sim::to_json(b.result, {true, 2}))
         << protocols::to_string(kind);
-    EXPECT_FALSE(a.fault_layer);
+    EXPECT_EQ(a.events, b.events) << protocols::to_string(kind);
+    EXPECT_FALSE(a.result.fault_layer);
   }
 }
 
@@ -353,10 +374,9 @@ TEST(ZeroFault, ReportOmitsFaultFieldsEntirely) {
   const auto pop = make_population(200, 10);
   sim::SessionConfig config;
   config.seed = 81;
-  config.keep_trace = true;
   const auto result =
       protocols::make_protocol(ProtocolKind::kTpp)->run(pop, config);
-  const std::string json = sim::to_json(result, {false, true, 2});
+  const std::string json = sim::to_json(result, {false, 2});
   // The fault-layer keys must not leak into clean-channel reports: their
   // absence is what keeps pre-fault-layer consumers byte-compatible.
   EXPECT_EQ(json.find("retries"), std::string::npos);

@@ -3,14 +3,16 @@
 // These check identities that must hold for every protocol, population and
 // seed: exact-once collection, the accounting identity (time decomposes
 // into reader airtime plus per-interaction constants), waste-freeness of
-// the polling family, round-trace monotonicity, and fuzzed round trips for
-// the bit-level substrate.
+// the polling family, a monotone round-by-round event trace, and fuzzed
+// round trips for the bit-level substrate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <type_traits>
 
 #include "common/env.hpp"
 #include "core/polling.hpp"
+#include "obs/trace.hpp"
 #include "sim/verify.hpp"
 
 namespace rfid {
@@ -33,7 +35,7 @@ class RandomizedRuns : public ::testing::TestWithParam<RandomCase> {};
 sim::RunResult run_random(const RandomCase& c, std::size_t& n_out,
                           std::size_t& l_out,
                           const tags::TagPopulation** pop_out,
-                          bool keep_trace = false) {
+                          obs::TraceSink* tracer = nullptr) {
   static std::vector<tags::TagPopulation> stash;  // keep populations alive
   Xoshiro256ss rng(c.seed);
   const std::size_t n = 50 + rng.below(2000);
@@ -44,7 +46,7 @@ sim::RunResult run_random(const RandomCase& c, std::size_t& n_out,
   sim::SessionConfig config;
   config.info_bits = l;
   config.seed = c.seed * 2654435761u + 17;
-  config.keep_trace = keep_trace;
+  config.tracer = tracer;
   n_out = n;
   l_out = l;
   *pop_out = &pop;
@@ -107,14 +109,21 @@ TEST_P(RandomizedRuns, PollingFamilyHasNoWaste) {
 TEST_P(RandomizedRuns, TraceIsMonotoneAndMatchesRounds) {
   std::size_t n = 0, l = 0;
   const tags::TagPopulation* pop = nullptr;
-  const auto result = run_random(GetParam(), n, l, &pop, /*keep_trace=*/true);
-  EXPECT_EQ(result.trace.size(), result.metrics.rounds);
-  for (std::size_t i = 1; i < result.trace.size(); ++i) {
-    EXPECT_GE(result.trace[i].time_us_so_far,
-              result.trace[i - 1].time_us_so_far);
-    EXPECT_GE(result.trace[i].polls_so_far, result.trace[i - 1].polls_so_far);
-    EXPECT_EQ(result.trace[i].round, result.trace[i - 1].round + 1);
+  obs::RingBufferSink ring(1u << 17);
+  const auto result = run_random(GetParam(), n, l, &pop, &ring);
+  ASSERT_EQ(ring.dropped(), 0u);
+  // One kRoundBegin per round, numbered from 1 in steps of one; the clock
+  // stamped on the events never falls.
+  std::uint64_t rounds = 0;
+  double clock_us = 0.0;
+  for (const obs::Event& event : ring.snapshot()) {
+    EXPECT_GE(event.time_us, clock_us);
+    clock_us = event.time_us;
+    if (event.kind != obs::EventKind::kRoundBegin) continue;
+    EXPECT_EQ(event.round, rounds + 1);
+    ++rounds;
   }
+  EXPECT_EQ(rounds, result.metrics.rounds);
 }
 
 std::vector<RandomCase> random_cases() {

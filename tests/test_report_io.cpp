@@ -1,28 +1,23 @@
-// Tests for JSON export, the round-trace CSV, and the analytical MIC model.
+// Tests for JSON export and the analytical MIC model.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <cstddef>
 #include <string>
-#include <vector>
+#include <unordered_set>
 
 #include "analysis/mic_model.hpp"
 #include "core/polling.hpp"
 #include "protocols/mic.hpp"
 #include "sim/report_io.hpp"
-#include "sim/trace_io.hpp"
 
 namespace rfid {
 namespace {
 
-sim::RunResult small_run(bool trace = false) {
+sim::RunResult small_run() {
   Xoshiro256ss rng(1);
   const auto pop = tags::TagPopulation::uniform_random(20, rng);
   sim::SessionConfig config;
   config.seed = 2;
-  config.keep_trace = trace;
   return protocols::make_protocol(core::ProtocolKind::kTpp)->run(pop, config);
 }
 
@@ -41,7 +36,7 @@ TEST(ReportJson, BalancedBracesAndQuotes) {
     sim::JsonOptions options;
     options.indent = indent;
     options.include_records = true;
-    const std::string json = sim::to_json(small_run(true), options);
+    const std::string json = sim::to_json(small_run(), options);
     std::ptrdiff_t braces = 0, brackets = 0;
     std::size_t quotes = 0;
     for (const char c : json) {
@@ -70,13 +65,6 @@ TEST(ReportJson, RecordsIncludePayloads) {
   EXPECT_NE(json.find("\"payload\""), std::string::npos);
 }
 
-TEST(ReportJson, TraceIncludedWhenPresent) {
-  const std::string with = sim::to_json(small_run(true));
-  EXPECT_NE(with.find("\"trace\""), std::string::npos);
-  const std::string without = sim::to_json(small_run(false));
-  EXPECT_EQ(without.find("\"trace\""), std::string::npos);
-}
-
 TEST(ReportJson, MissingIdsSerialized) {
   Xoshiro256ss rng(3);
   const auto pop = tags::TagPopulation::uniform_random(30, rng);
@@ -86,54 +74,6 @@ TEST(ReportJson, MissingIdsSerialized) {
       core::find_missing_tags(core::ProtocolKind::kHpp, pop, present, {});
   const std::string json = sim::to_json(report.result);
   EXPECT_NE(json.find(pop[0].id().to_hex()), std::string::npos);
-}
-
-std::vector<std::string> csv_lines(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
-}
-
-TEST(TraceCsv, EmptyTraceWritesHeaderOnly) {
-  // Documented contract: a run without keep_trace still writes the header
-  // row — including the per-phase columns — and nothing else.
-  const std::string path = "trace_csv_empty.csv";
-  sim::write_trace_csv(small_run(false), path);
-  const auto lines = csv_lines(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0],
-            "round,polls_so_far,vector_bits_so_far,time_us_so_far,"
-            "reader_vector_us_so_far,command_us_so_far,turnaround_us_so_far,"
-            "tag_reply_us_so_far,wasted_slot_us_so_far");
-}
-
-TEST(TraceCsv, RowsCarryPhaseColumnsPerRound) {
-  const std::string path = "trace_csv_rows.csv";
-  const auto result = small_run(true);
-  sim::write_trace_csv(result, path);
-  const auto lines = csv_lines(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(lines.size(), result.trace.size() + 1);
-  const auto columns = [](const std::string& line) {
-    return 1 + std::count(line.begin(), line.end(), ',');
-  };
-  const auto expected = columns(lines[0]);
-  for (std::size_t i = 1; i < lines.size(); ++i)
-    EXPECT_EQ(columns(lines[i]), expected) << lines[i];
-  // Phase columns are cumulative, so the last row's phase total must match
-  // the run's final clock.
-  std::stringstream last(lines.back());
-  std::vector<double> cells;
-  std::string cell;
-  while (std::getline(last, cell, ',')) cells.push_back(std::stod(cell));
-  ASSERT_EQ(cells.size(), 9u);
-  const double phase_total = cells[4] + cells[5] + cells[6] + cells[7] +
-                             cells[8];
-  // Cells are printed with 2 decimals; allow rounding slack per column.
-  EXPECT_NEAR(phase_total, cells[3], 0.05);
 }
 
 TEST(MicModel, FixedPointMatchesPublishedFigures) {

@@ -3,12 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 
 #include "common/env.hpp"
 #include "core/polling.hpp"
-#include "sim/trace_io.hpp"
 
 namespace rfid {
 namespace {
@@ -43,26 +40,6 @@ TEST(Stress, AllProtocolsCompleteAtScale) {
     const auto result = protocols::make_protocol(kind)->run(pop, config);
     EXPECT_EQ(result.metrics.polls, n) << protocols::to_string(kind);
   }
-}
-
-TEST(Stress, TraceCsvRoundTripsAtScale) {
-  Xoshiro256ss rng(5);
-  const auto pop = tags::TagPopulation::uniform_random(10000, rng);
-  sim::SessionConfig config;
-  config.seed = 6;
-  config.keep_records = false;
-  config.keep_trace = true;
-  const auto result =
-      protocols::make_protocol(ProtocolKind::kHpp)->run(pop, config);
-  ASSERT_FALSE(result.trace.empty());
-  const std::string path = testing::TempDir() + "rfid_trace.csv";
-  sim::write_trace_csv(result, path);
-  std::ifstream in(path);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) ++lines;
-  EXPECT_EQ(lines, result.trace.size() + 1);  // header + rows
-  std::remove(path.c_str());
 }
 
 TEST(Stress, MemoryBoundedRunWithoutRecords) {
