@@ -17,7 +17,7 @@
 #include "protocols/hash_polling.hpp"
 #include "protocols/round_engine.hpp"
 #include "protocols/tree_polling.hpp"
-#include "tags/id_index.hpp"
+#include "sim/verify.hpp"
 #include "tags/soa.hpp"
 
 namespace rfid::core {
@@ -740,29 +740,18 @@ DeploymentReport Deployment::finish() {
   // Delivered-or-listed verification. Record-free sweeps verify by exact
   // counts (every tag is owned by exactly one reader at any time and
   // leaves the simulation through exactly one of the three outcomes);
-  // record-keeping sweeps additionally verify the ID lists cover the
-  // population exactly once: every listed ID is a population tag, and no
-  // population position is listed twice.
-  const std::size_t population_n = population_->size();
+  // record-keeping sweeps additionally run sim::verify_accounted_once over
+  // the lists: every listed ID is a population tag, no population position
+  // is listed twice, and every record carries its tag's payload.
   bool exact = report_.delivered + report_.missing_ids.size() +
                    report_.undelivered_ids.size() ==
-               population_n;
+               population_->size();
   if (config_.session.keep_records) {
-    exact = exact && report_.records.size() == report_.delivered;
-    const std::span<const tags::Tag> tags = population_->tags();
-    tags::IdIndex by_id(population_n);
-    for (std::size_t i = 0; i < population_n; ++i) by_id.insert(tags, i);
-    std::vector<std::uint8_t> seen(population_n, 0);
-    bool once = true;
-    const auto account = [&](const TagId& id) {
-      const std::size_t pos = by_id.find(tags, id);
-      once = once && pos != tags::IdIndex::kAbsent && seen[pos]++ == 0;
-    };
-    for (const sim::CollectedRecord& record : report_.records)
-      account(record.id);
-    for (const TagId& id : report_.missing_ids) account(id);
-    for (const TagId& id : report_.undelivered_ids) account(id);
-    exact = exact && once;
+    exact = exact && report_.records.size() == report_.delivered &&
+            sim::verify_accounted_once(*population_, report_.records,
+                                       report_.missing_ids,
+                                       report_.undelivered_ids)
+                .ok;
   }
   report_.verified = exact;
   return std::move(report_);

@@ -7,8 +7,10 @@
 
 namespace rfid::sim {
 
-VerifyReport verify_complete_collection(const tags::TagPopulation& population,
-                                        const RunResult& result) {
+VerifyReport verify_accounted_once(const tags::TagPopulation& population,
+                                   std::span<const CollectedRecord> records,
+                                   std::span<const TagId> missing,
+                                   std::span<const TagId> undelivered) {
   VerifyReport report;
   const auto fail = [&report](std::string msg) {
     report.ok = false;
@@ -20,14 +22,13 @@ VerifyReport verify_complete_collection(const tags::TagPopulation& population,
   // reported missing (absent from the field), or explicitly given up on by
   // the recovery policy (undelivered). A clean-channel run degenerates to
   // the original contract — records only, one per tag.
-  const std::size_t accounted = result.records.size() +
-                                result.missing_ids.size() +
-                                result.undelivered_ids.size();
+  const std::size_t accounted =
+      records.size() + missing.size() + undelivered.size();
   if (accounted != population.size()) {
     return fail("accounted for " + std::to_string(accounted) + " tags (" +
-                std::to_string(result.records.size()) + " collected, " +
-                std::to_string(result.missing_ids.size()) + " missing, " +
-                std::to_string(result.undelivered_ids.size()) +
+                std::to_string(records.size()) + " collected, " +
+                std::to_string(missing.size()) + " missing, " +
+                std::to_string(undelivered.size()) +
                 " undelivered) out of " + std::to_string(population.size()));
   }
 
@@ -45,7 +46,7 @@ VerifyReport verify_complete_collection(const tags::TagPopulation& population,
     return std::string();
   };
 
-  for (const CollectedRecord& record : result.records) {
+  for (const CollectedRecord& record : records) {
     if (auto msg = account_once(record.id, "collection"); !msg.empty())
       return fail(std::move(msg));
     const BitVec expected = population.reply_payload(
@@ -53,13 +54,19 @@ VerifyReport verify_complete_collection(const tags::TagPopulation& population,
     if (!(expected == record.payload))
       return fail("payload mismatch for tag " + record.id.to_hex());
   }
-  for (const TagId& id : result.missing_ids)
+  for (const TagId& id : missing)
     if (auto msg = account_once(id, "missing report"); !msg.empty())
       return fail(std::move(msg));
-  for (const TagId& id : result.undelivered_ids)
+  for (const TagId& id : undelivered)
     if (auto msg = account_once(id, "undelivered report"); !msg.empty())
       return fail(std::move(msg));
   return report;
+}
+
+VerifyReport verify_complete_collection(const tags::TagPopulation& population,
+                                        const RunResult& result) {
+  return verify_accounted_once(population, result.records, result.missing_ids,
+                               result.undelivered_ids);
 }
 
 }  // namespace rfid::sim

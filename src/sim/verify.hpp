@@ -6,6 +6,7 @@
 // collected payload bit-identical to what the tag stores.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "sim/session.hpp"
@@ -17,7 +18,18 @@ struct VerifyReport final {
   std::string message;  ///< first discrepancy found, empty when ok
 };
 
-/// Checks a finished run against the population it was drawn from.
+/// The delivered-or-listed pass: `records`, `missing` and `undelivered`
+/// together name every tag of `population` exactly once (no stranger tag,
+/// no tag twice, none left out), and every record's payload is
+/// bit-identical to what its tag stores. core::Deployment::finish runs it
+/// over a record-keeping deployment's merged lists.
+[[nodiscard]] VerifyReport verify_accounted_once(
+    const tags::TagPopulation& population,
+    std::span<const CollectedRecord> records, std::span<const TagId> missing,
+    std::span<const TagId> undelivered);
+
+/// Checks a finished run against the population it was drawn from:
+/// verify_accounted_once over its records, missing and undelivered lists.
 [[nodiscard]] VerifyReport verify_complete_collection(
     const tags::TagPopulation& population, const RunResult& result);
 

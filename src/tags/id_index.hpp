@@ -11,7 +11,8 @@
 //     and so must see each repeat as it is drawn; the rerun a uniform
 //     factory falls back to when the bulk pass finds a repeat, which
 //     redraws that repeat where it was drawn; and the lookups by ID of
-//     sim::verify_complete_collection and core::Deployment::finish.
+//     sim::verify_accounted_once, the delivered-or-listed check that
+//     sim::verify_complete_collection and core::Deployment::finish share.
 //
 // IdIndex is open addressing with linear probing over a power-of-two
 // array, sized once for at most `capacity` IDs so the load never exceeds
