@@ -108,7 +108,9 @@ TEST(Rfidlint, PhaseCleanFixturePasses) {
 
 TEST(Rfidlint, PhaseUnphasedFixture) {
   EXPECT_EQ(findings_of("phase_unphased.cpp"),
-            (Expected{{"unphased-charge", 21}, {"raw-phase-mutation", 25}}));
+            (Expected{{"unphased-charge", 29},
+                      {"unphased-charge", 33},
+                      {"raw-phase-mutation", 38}}));
 }
 
 TEST(Rfidlint, ObsLayerIsExemptFromPhaseRules) {
@@ -193,6 +195,13 @@ TEST(Rfidlint, RepoSpecRejectsArtificialUpwardInclude) {
       "src/obs/fake.hpp");
   ASSERT_EQ(obs_up.size(), 1u);
   EXPECT_EQ(obs_up[0].rule, "layer-violation");
+  // phy is the pure C1G2 model: it may not reach into the fault layer
+  // (the edge the downlink's corruption draws once needed).
+  const auto phy_up = rfidlint::lint_source(
+      "fake.hpp", "#include \"fault/injector.hpp\"\n", options,
+      "src/phy/fake.hpp");
+  ASSERT_EQ(phy_up.size(), 1u);
+  EXPECT_EQ(phy_up[0].rule, "layer-violation");
   // ...while the fixed include and the sanctioned downward edges pass.
   EXPECT_TRUE(rfidlint::lint_source("fake.hpp",
                                     "#include \"obs/metrics.hpp\"\n", options,

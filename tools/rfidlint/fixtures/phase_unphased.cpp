@@ -1,6 +1,8 @@
 // phase-accounting rule fixture. Expected findings: unphased-charge on
-// line 21 (no phase attribution within the window) and raw-phase-mutation
-// on line 25 (direct += into the breakdown array outside src/obs).
+// line 29 (no phase attribution within the window), unphased-charge on
+// line 33 (a sink callback named like a phase charge is not an attribution)
+// and raw-phase-mutation on line 38 (direct += into the breakdown array
+// outside src/obs).
 #include <cstdint>
 
 namespace fixture {
@@ -14,11 +16,22 @@ struct Metrics {
   Breakdown phases;
 };
 
+struct Sink {
+  void on_phase(int phase, std::uint64_t us) { last = us * (phase >= 0); }
+  std::uint64_t last = 0;
+};
+
 struct Loop {
   Metrics metrics;
+  Sink sink;
 
   void charge_without_phase(std::uint64_t dt) {
     metrics.time_us += dt;
+  }
+
+  void charge_through_sink(std::uint64_t dt) {
+    metrics.time_us += dt;
+    sink.on_phase(1, dt);
   }
 
   void mutate_breakdown(std::uint64_t dt) {

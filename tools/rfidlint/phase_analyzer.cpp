@@ -4,9 +4,10 @@
 // tag-reply / wasted-slot / recovery time; a `time_us +=` with no phase
 // attribution silently under-reports one of those buckets. Attribution is
 // recognised within a 3-line window after the charge (`add_phase`,
-// `on_phase`, `phases.add`) — every legitimate charge site in the tree
-// attributes on the same or next line; the window gives multi-line call
-// formatting room. Raw `phases.us[...] +=` mutation belongs to src/obs
+// `phases.add`) — every legitimate charge site in the tree attributes on
+// the same or next line; the window gives multi-line call formatting room.
+// A callback that merely forwards a phase elsewhere is not an attribution:
+// the charge and its phase must be visible at one site. Raw `phases.us[...] +=` mutation belongs to src/obs
 // (PhaseBreakdown::add / merge); anywhere else it bypasses the recovery
 // redirect (AirLoop::add_phase) and the merge invariants.
 #include <string>
@@ -41,7 +42,6 @@ constexpr std::size_t kAttributionWindow = 3;
 /// True when the line names a phase-attribution call.
 [[nodiscard]] bool has_attribution(std::string_view code) {
   if (find_word(code, "add_phase") != std::string_view::npos) return true;
-  if (find_word(code, "on_phase") != std::string_view::npos) return true;
   for (std::size_t pos = find_word(code, "phases");
        pos != std::string_view::npos;
        pos = find_word(code, "phases", pos + 1)) {
@@ -103,7 +103,7 @@ class PhaseAnalyzer final : public Analyzer {
         if (!attributed)
           add_finding(out, context, i + 1, kRuleUnphasedCharge,
                       "airtime charge 'time_us +=' with no obs::Phase "
-                      "attribution (add_phase / on_phase / phases.add) "
+                      "attribution (add_phase / phases.add) "
                       "within " +
                           std::to_string(kAttributionWindow) +
                           " lines; every charge must name its phase");
