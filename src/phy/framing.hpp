@@ -10,10 +10,10 @@
 //
 // with CRC-16/CCITT computed over the packed <seq><payload> bits (MSB
 // first, zero-padded to bytes). Tags discard a segment whose CRC fails and
-// re-listen; the reader retransmits with bounded exponential backoff,
-// charging the repeat airtime to obs::Phase::kRecovery. The 4-bit sequence
-// number (mod 16) lets tags drop duplicate retransmissions of a segment
-// they already accepted.
+// re-listen; the reader retransmits with bounded exponential backoff
+// (sim::AirLoop::broadcast_framed, which charges the repeat airtime to
+// obs::Phase::kRecovery). The 4-bit sequence number (mod 16) lets tags
+// drop duplicate retransmissions of a segment they already accepted.
 //
 // The layer is OFF by default: with `enabled == false` no frame is ever
 // built and broadcast accounting is bit-identical to the unframed path.
