@@ -3,7 +3,7 @@
 //
 //   ./deployment_sweep [--tags N] [--readers N] [--channels N]
 //                      [--overlap X] [--churn X] [--shards N] [--seed N]
-//                      [--protocol hpp|tpp] [--report-json PATH]
+//                      [--protocol HPP|TPP] [--report-json PATH]
 //
 // Every output byte is a pure function of the flags: the population is
 // generated with per-shard pure RNG streams, the sweep itself is
@@ -26,6 +26,7 @@
 #include "core/deployment.hpp"
 #include "obs/stream.hpp"
 #include "parallel/thread_pool.hpp"
+#include "protocols/registry.hpp"
 #include "tags/population.hpp"
 
 namespace {
@@ -36,9 +37,10 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--tags N] [--readers N] [--channels N] [--overlap X]\n"
                "       [--churn X] [--shards N] [--seed N]\n"
-               "       [--protocol hpp|tpp] [--report-json PATH]\n"
-               "  --overlap in [0,1]; --churn in [0,1); integers strictly\n"
-               "  base-10; RFID_THREADS=N pools the parallel phase\n";
+               "       [--protocol HPP|TPP] [--report-json PATH]\n"
+               "  --protocol in any case; --overlap in [0,1]; --churn in\n"
+               "  [0,1); integers strictly base-10; RFID_THREADS=N pools\n"
+               "  the parallel phase\n";
   return EXIT_FAILURE;
 }
 
@@ -96,14 +98,13 @@ int main(int argc, char** argv) {
       if (!fraction || *fraction >= 1.0) return usage(argv[0]);
       churn = *fraction;
     } else if (flag == "--protocol" && arg + 1 < argc) {
-      const std::string_view name = argv[++arg];
-      if (name == "hpp") {
-        kind = protocols::ProtocolKind::kHpp;
-      } else if (name == "tpp") {
-        kind = protocols::ProtocolKind::kTpp;
-      } else {
+      // Case-insensitive, as protocol_comparison takes it; only the round
+      // engine protocols can be scheduled tick by tick.
+      const auto parsed = protocols::parse_protocol(argv[++arg]);
+      if (parsed != protocols::ProtocolKind::kHpp &&
+          parsed != protocols::ProtocolKind::kTpp)
         return usage(argv[0]);
-      }
+      kind = *parsed;
     } else if (flag == "--report-json" && arg + 1 < argc) {
       report_json_path = argv[++arg];
     } else {

@@ -81,7 +81,8 @@ check_reader_faults
 # the tick loop's parallel phase is reader-local, and each shard's readers
 # take turns on one round scratch, so the execution grain must never leak
 # into the results. Run once per deployment protocol: TPP's clean rounds
-# size the poll-length buffer with resize, HPP's with assign.
+# size the poll-length buffer with resize, HPP's with assign. The two are
+# spelled in different cases, since --protocol takes either.
 check_fleet_sharding() {
   local protocol="$1"
   local sweep_bin="$bin_dir/examples/deployment_sweep"
@@ -111,7 +112,7 @@ check_fleet_sharding() {
     done
   done
 }
-check_fleet_sharding tpp
+check_fleet_sharding TPP
 check_fleet_sharding hpp
 [ "$status" -eq 0 ] || exit "$status"
 

@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "core/multi_reader.hpp"
 #include "fault/injector.hpp"
 #include "fault/recovery.hpp"
@@ -145,7 +146,10 @@ PlacementRules::PlacementRules(const DeploymentConfig& config) noexcept
       depart_(config.churn_depart_per_tick),
       hazard_(config.churn_depart_per_tick + config.churn_move_per_tick),
       log_survive_(std::log1p(-std::min(hazard_, 0.9999999999))),
-      floor_scale_(hazard_ > 0.0 ? (1.0 - 0x1p-40) / -log_survive_ : 0.0),
+      floor_slope_(hazard_ > 0.0
+                       ? static_cast<std::uint64_t>(std::min(
+                             (1.0 - 0x1p-40) / -log_survive_, 0x1p32 - 1.0))
+                       : 0),
       first_wait_key_(derive_seed(config.churn_seed, 0)),
       first_kind_key_(derive_seed(config.churn_seed, 1)) {}
 
@@ -231,22 +235,38 @@ ChurnPosition PlacementRules::churn_position(
   }
 }
 
-std::uint64_t PlacementRules::first_event_floor(IdWords id) const noexcept {
+void PlacementRules::first_event_floors(const std::uint64_t* id_hi,
+                                        const std::uint64_t* id_lo,
+                                        std::uint32_t* floors,
+                                        std::size_t n) const {
   // Event 0 fires at 1 + trunc(-ln u / -log_survive_) (churn_position),
-  // u being the tag's event-0 wait draw. As -ln u >= 1 - u on (0, 1],
-  // trunc((1 - u) / -log_survive_) is at most trunc(-ln u / -log_survive_)
-  // and so strictly below that tick. 1 - u is exact (u is a multiple of
-  // 2^-53), and the slope's 2^-40 margin is about 2^11 times the combined
-  // rounding of std::log, the division and the product below, so the
-  // bound holds in floating point too. The truncation stays below 2^64
-  // for any total hazard that validated() admits.
-  const double wait = hash_unit(tag_hash_words(first_wait_key_, id.hi, id.lo));
-  return static_cast<std::uint64_t>((1.0 - wait) * floor_scale_);
+  // where u = ((w >> 11) + 1) 2^-53 is the wait draw of the tag's event-0
+  // hash w. hash_indices at h = 32 leaves t = w >> 32, and u <= (t + 1)
+  // 2^-32, so 1 - u >= (2^32 - 1 - t) 2^-32. As -ln u >= 1 - u on (0, 1],
+  // ((2^32 - 1 - t) * slope) >> 32 is at most -ln u / -log_survive_ for
+  // any slope up to (1 - 2^-40) / -log_survive_, and so strictly below
+  // that tick. The 2^-40 margin is about 2^11 times the combined rounding
+  // of std::log and the two divisions, so the bound holds in floating
+  // point too. The slope's cap keeps the product in 64 bits and the floor
+  // in 32, the width of a horizon.
+  simd::hash_indices(first_wait_key_, id_hi, id_lo, floors, n, 32,
+                     simd::best_backend());
+  for (std::size_t i = 0; i < n; ++i)
+    floors[i] = static_cast<std::uint32_t>(
+        (std::uint64_t{UINT32_MAX - floors[i]} * floor_slope_) >> 32);
 }
 
 // --- Reader runtime ---------------------------------------------------------
 
 namespace detail {
+
+/// A tag a churn scan found owned by another reader, with the horizon it
+/// takes there: the tick of its next event.
+struct ChurnMove final {
+  const tags::Tag* tag;
+  std::uint32_t target;
+  std::uint32_t horizon;
+};
 
 /// One reader's runtime. The session stack is rebuilt on every crash or
 /// reboot; the active tag set survives restarts and moves wholesale on
@@ -275,11 +295,11 @@ struct ReaderRuntime final {
   bool heartbeat = false;        ///< scheduled with a drained zone
   double round_time_us = 0.0;
   std::size_t round_delivered = 0;
-  std::vector<const tags::Tag*> moved;  ///< churn: tags owned elsewhere now
-  std::vector<std::uint32_t> moved_target;
-  std::vector<TagId> departed;          ///< churn: left before being read
-  std::vector<char> churn_done;         ///< compaction scratch
-  tags::TagSoA keep_scratch;            ///< hand_off stay-put rebuilds
+  std::vector<ChurnMove> moved;  ///< churn: tags owned elsewhere now
+  std::vector<TagId> departed;   ///< churn: left before being read
+  /// Per-tag leave flags: the compaction scratch of churn_scan (parallel
+  /// phase) and hand_off (serial merge).
+  std::vector<char> leaving;
 
   explicit ReaderRuntime(const fault::RecoveryConfig& recovery_config)
       : recovery(recovery_config) {}
@@ -336,10 +356,7 @@ Deployment::Deployment(const tags::TagPopulation& population,
     channels_state_[c].readers =
         channel_population(c, config_.readers, channels_);
   scheduled_.resize(channels_);
-  // kPlaced: every tag's first check stays lazy, in its reader's scan, and
-  // may settle there from its first-event floor.
-  if (config_.churn_depart_per_tick > 0.0 || config_.churn_move_per_tick > 0.0)
-    horizon_.assign(population_->size(), kPlaced);
+  if (churns()) handoffs_used_.assign(population_->size(), 0);
 }
 
 Deployment::~Deployment() = default;
@@ -351,7 +368,10 @@ Deployment::~Deployment() = default;
 // then gathers its tags from them (TagSoA::gather). A reader thus holds
 // its tags in population order. Its columns get the capacity push_back
 // growth would have reached, so a drain's first handoffs into a reader
-// that has not yet run a round do not reallocate them.
+// that has not yet run a round do not reallocate them. With churn on, a
+// reader's horizons are its tags' first-event floors, set in one batch
+// while its ID words are still in cache: before its first event a placed
+// tag sits in its home zone, owned by this reader.
 void Deployment::place() {
   const std::span<const tags::Tag> tags = population_->tags();
   const std::size_t n = tags.size();
@@ -366,6 +386,7 @@ void Deployment::place() {
   for (std::size_t i = 0; i < n; ++i) ++next[owner[i]];
   for (std::size_t r = 0; r < readers; ++r) {
     tags::TagSoA& active = runtime_[r].active;
+    if (churns()) active.carry_horizons();
     if (next[r] > 0) active.reserve(std::bit_ceil(std::size_t{next[r]}));
     active.resize(next[r]);
     next[r] = 0;
@@ -373,7 +394,13 @@ void Deployment::place() {
   for (std::size_t i = 0; i < n; ++i)
     runtime_[owner[i]].active.set_slot(next[owner[i]]++,
                                        static_cast<std::uint32_t>(i));
-  for (std::size_t r = 0; r < readers; ++r) runtime_[r].active.gather(tags);
+  for (std::size_t r = 0; r < readers; ++r) {
+    tags::TagSoA& active = runtime_[r].active;
+    active.gather(tags);
+    if (active.carries_horizons())
+      rules_.first_event_floors(active.id_hi_data(), active.id_lo_data(),
+                                active.horizon_data(), active.size());
+  }
 }
 
 void Deployment::build_session(std::size_t reader,
@@ -412,7 +439,6 @@ void Deployment::run_reader_parallel(std::size_t reader,
   rt.round_time_us = 0.0;
   rt.round_delivered = 0;
   rt.moved.clear();
-  rt.moved_target.clear();
   rt.departed.clear();
 
   if (rt.rebuilt_this_tick) return;  // the reboot consumed the tick
@@ -430,7 +456,8 @@ void Deployment::run_reader_parallel(std::size_t reader,
 
   // Zone scan at the reader's own transmit slot, before the round, so a
   // tag that left at tick t is never interrogated at tick >= t.
-  if (!horizon_.empty() && !rt.active.empty()) churn_scan(reader, rt);
+  if (rt.active.carries_horizons() && !rt.active.empty())
+    churn_scan(reader, rt);
 
   if (rt.active.empty()) {
     // Zone drained: the reader idles but still answers its heartbeat.
@@ -458,28 +485,24 @@ void Deployment::run_reader_parallel(std::size_t reader,
 
 // Departed tags leave the active set (listed missing at the merge); tags
 // now owned elsewhere queue for handoff to their new owner. Pass 1 only
-// compares each tag's horizon with the tick, with independent loads and no
-// hashing; pass 2 walks the due tags' churn events from their ID words. A
-// tag that stays stores its next event tick as its new horizon.
-//
-// A kPlaced tag has not moved since placement (only rehome moves a tag
-// between readers, and it stores kArrived), so before its first event its
-// zone is its home and its owner is this reader. When its first-event
-// floor lies past the tick, the floor becomes its horizon and the tag
-// stays, with no log, home hash or ownership hash. A floor is a lower
-// bound, so storing one can only bring the tag's full evaluation forward.
+// compares the horizon column with the tick, one sequential load per tag
+// and no hashing; pass 2 walks the due tags' churn events from their ID
+// words. A tag that stays stores its next event tick as its new horizon.
+// A horizon is never later than the tag's next event (see place() and the
+// merge in tick()), so a tag the scan skips cannot have moved or left.
 void Deployment::churn_scan(std::size_t reader, detail::ReaderRuntime& rt) {
   const std::size_t n = rt.active.size();
-  rt.churn_done.resize(n);
-  // Locals, not members: the char stores below may alias any member.
+  rt.leaving.resize(n);
+  // Locals, not members: the char stores below may alias any member. A
+  // horizon fits 32 bits, so the saturated tick compares the same way and
+  // keeps pass 1 in 32-bit lanes.
   const std::uint64_t now = tick_;
-  const tags::Tag* const base = population_->tags().data();
-  std::uint32_t* const horizon = horizon_.data();
-  char* const flags = rt.churn_done.data();
+  const std::uint32_t now32 = saturated_tick(now);
+  std::uint32_t* const horizon = rt.active.horizon_data();
+  char* const flags = rt.leaving.data();
   std::size_t due = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const bool flag =
-        now >= horizon[static_cast<std::size_t>(rt.active.tag(i) - base)];
+    const bool flag = now32 >= horizon[i];
     flags[i] = static_cast<char>(flag);
     due += flag ? 1u : 0u;
   }
@@ -487,35 +510,26 @@ void Deployment::churn_scan(std::size_t reader, detail::ReaderRuntime& rt) {
   std::size_t removed = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (flags[i] == 0) continue;
-    const tags::Tag* tag = rt.active.tag(i);
     const IdWords id{rt.active.id_hi(i), rt.active.id_lo(i)};
-    std::uint32_t& stored = horizon[static_cast<std::size_t>(tag - base)];
-    if (stored == kPlaced) {
-      const std::uint64_t floor = rules_.first_event_floor(id);
-      if (floor > now) {
-        flags[i] = 0;
-        stored = saturated_tick(floor);
-        continue;
-      }
-    }
     const ChurnPosition position =
         rules_.churn_position(id, rules_.home(id), now);
     if (position.departed) {
-      rt.departed.push_back(tag->id());
+      rt.departed.push_back(rt.active.tag(i)->id());
       ++removed;
       continue;
     }
+    const std::uint32_t next = saturated_tick(position.next_event_at);
     const std::size_t owner = rules_.owner_in_zone(id, position.zone);
     if (owner != reader) {
-      rt.moved.push_back(tag);
-      rt.moved_target.push_back(static_cast<std::uint32_t>(owner));
+      rt.moved.push_back(
+          {rt.active.tag(i), static_cast<std::uint32_t>(owner), next});
       ++removed;
       continue;
     }
     flags[i] = 0;
-    stored = saturated_tick(position.next_event_at);
+    horizon[i] = next;
   }
-  if (removed > 0) rt.active.compact(rt.churn_done);
+  if (removed > 0) rt.active.compact(rt.leaving);
 }
 
 bool Deployment::take_handoff(const tags::Tag* tag) {
@@ -524,12 +538,6 @@ bool Deployment::take_handoff(const tags::Tag* tag) {
   if (used >= config_.handoff_budget) return false;
   ++used;
   return true;
-}
-
-void Deployment::rehome(std::size_t reader, const tags::Tag* tag) {
-  runtime_[reader].active.push_back(tag);
-  // The receiving reader evaluates the tag in full at its next scan.
-  if (!horizon_.empty()) horizon_[tag_index(tag)] = kArrived;
 }
 
 void Deployment::apply_fault_event(std::size_t reader,
@@ -566,7 +574,8 @@ void Deployment::hand_off(std::size_t from) {
     break;
   }
   const bool overlap = config_.zone_overlap > 0.0 && config_.readers > 1;
-  rt.keep_scratch.clear();
+  // Tags that stay keep their place, and their horizon, in the compaction.
+  rt.leaving.assign(rt.active.size(), 1);
   std::size_t rehomed = 0;
   for (std::size_t i = 0; i < rt.active.size(); ++i) {
     const tags::Tag* tag = rt.active.tag(i);
@@ -589,18 +598,17 @@ void Deployment::hand_off(std::size_t from) {
       if (supervisor_.permanently_down(from))
         report_.undelivered_ids.push_back(tag->id());
       else
-        rt.keep_scratch.push_back(tag);
+        rt.leaving[i] = 0;
       continue;
     }
     if (take_handoff(tag)) {
-      rehome(target, tag);
+      runtime_[target].active.push_back(tag, kArrived);
       ++rehomed;
     } else {
       report_.undelivered_ids.push_back(tag->id());
     }
   }
-  std::swap(rt.active, rt.keep_scratch);
-  rt.keep_scratch.clear();
+  rt.active.compact(rt.leaving);
   report_.handoffs += rehomed;
 }
 
@@ -680,15 +688,18 @@ bool Deployment::tick() {
       report_.missing_ids.push_back(id);
       ++report_.churn_departures;
     }
-    for (std::size_t m = 0; m < rt.moved.size(); ++m) {
-      const tags::Tag* tag = rt.moved[m];
-      if (take_handoff(tag)) {
-        rehome(rt.moved_target[m], tag);
+    for (const detail::ChurnMove& move : rt.moved) {
+      // The scan that found the move walked the tag up to its next event,
+      // and its owner cannot change before then: that tick is a horizon
+      // the new reader may keep as it is.
+      if (take_handoff(move.tag)) {
+        // rfidlint: allow(hotpath-alloc) — churn slow path, outside the fault-free zero-alloc contract
+        runtime_[move.target].active.push_back(move.tag, move.horizon);
         ++report_.handoffs;
         ++report_.churn_moves;
       } else {
         // rfidlint: allow(hotpath-alloc) — budget-exhausted slow path, outside the fault-free zero-alloc contract
-        report_.undelivered_ids.push_back(tag->id());
+        report_.undelivered_ids.push_back(move.tag->id());
       }
     }
   }

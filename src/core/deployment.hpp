@@ -33,11 +33,13 @@
 //     never read is listed as missing. Churn therefore never breaks the
 //     exact accounting: population = delivered + missing + undelivered.
 //     The same walk yields the tick of the tag's next event, before which
-//     neither its zone nor its owner can change, so a reader re-evaluates
-//     a tag only when that tick has come or the tag has just arrived: the
-//     scan's cost follows churn events, not active tags x ticks. A tag
-//     still at the reader placement gave it settles its first check from
-//     a log-free lower bound on its first event.
+//     neither its zone nor its owner can change. Each reader keeps that
+//     tick in a horizon column beside its tags' ID words (tags::TagSoA)
+//     and re-evaluates a tag only once it has come: the scan's cost
+//     follows churn events, not active tags x ticks. Placement sets every
+//     horizon to a log-free lower bound on the tag's first event, a churn
+//     move hands the tag's next event to its new reader, and a fault
+//     handoff stores 0, a full evaluation at the next scan.
 //
 //   * Reader faults. The PR-8 supervision machinery (fault::
 //     ReaderSupervisor, per-reader fault streams, bounded handoff budgets)
@@ -225,10 +227,13 @@ class PlacementRules final {
   void place(std::span<const tags::Tag> tags, std::uint32_t* owners) const;
   [[nodiscard]] ChurnPosition churn_position(IdWords id, std::size_t home_zone,
                                              std::uint64_t tick) const noexcept;
-  /// A lower bound on the tick of the tag's first churn event, strictly
-  /// below churn_position(id, z, 0).next_event_at for every zone z, found
-  /// without a log. 0 when no hazard is set.
-  [[nodiscard]] std::uint64_t first_event_floor(IdWords id) const noexcept;
+  /// For each i < n, a lower bound on the tick of the first churn event of
+  /// the tag with ID words (id_hi[i], id_lo[i]), strictly below
+  /// churn_position(id, z, 0).next_event_at for every zone z, found
+  /// without a log, into floors[i]. 0 when no hazard is set.
+  void first_event_floors(const std::uint64_t* id_hi,
+                          const std::uint64_t* id_lo, std::uint32_t* floors,
+                          std::size_t n) const;
 
  private:
   std::size_t readers_;
@@ -241,8 +246,9 @@ class PlacementRules final {
   /// Departure plus move hazard, and log1p(-hazard) clamped below 1.
   double hazard_;
   double log_survive_;
-  /// (1 - 2^-40) / -log_survive_, the floor's slope; 0 with no hazard.
-  double floor_scale_;
+  /// The floors' slope: (1 - 2^-40) / -log_survive_ rounded down and
+  /// capped at UINT32_MAX; 0 with no hazard.
+  std::uint64_t floor_slope_;
   /// Event 0's interarrival and depart-or-move keys.
   std::uint64_t first_wait_key_;
   std::uint64_t first_kind_key_;
@@ -299,14 +305,15 @@ class Deployment final {
   void build_session(std::size_t reader, detail::ReaderRuntime& rt);
   /// Fills every reader's active set with the tags it owns at tick 0.
   void place();
+  [[nodiscard]] bool churns() const noexcept {
+    return config_.churn_depart_per_tick + config_.churn_move_per_tick > 0.0;
+  }
   void run_reader_parallel(std::size_t reader, detail::ReaderRuntime& rt,
                            protocols::RoundPolicy& policy,
                            protocols::RoundScratch& scratch);
   void churn_scan(std::size_t reader, detail::ReaderRuntime& rt);
   /// Consumes one unit of the tag's fleet handoff budget; false once spent.
   [[nodiscard]] bool take_handoff(const tags::Tag* tag);
-  /// Pushes a handed-off tag into `reader`'s active set.
-  void rehome(std::size_t reader, const tags::Tag* tag);
   [[nodiscard]] std::size_t tag_index(const tags::Tag* tag) const noexcept {
     return static_cast<std::size_t>(tag - population_->tags().data());
   }
@@ -326,18 +333,12 @@ class Deployment final {
   std::vector<protocols::RoundScratch> scratch_;
   std::vector<detail::ReaderRuntime> runtime_;
   fault::ReaderSupervisor supervisor_;
-  /// Churn horizon per population tag (tag_index): a tick no later than
-  /// the first one at which its position can change, saturated at
-  /// UINT32_MAX. A scan stores a value above its tick, so at least 2; the
-  /// two sentinels below that are due at every scan. kPlaced: the tag is
-  /// still at the reader placement gave it, so its first scan may settle
-  /// from PlacementRules::first_event_floor. kArrived: the tag was handed
-  /// off and takes the full evaluation. Allocated only when churn is on.
-  static constexpr std::uint32_t kPlaced = 0;
-  static constexpr std::uint32_t kArrived = 1;
-  std::vector<std::uint32_t> horizon_;
-  /// Handoffs consumed per population tag (tag_index); allocated on the
-  /// first handoff.
+  /// The horizon a fault handoff stores (tags::TagSoA::horizon): due at
+  /// every scan, so the receiving reader evaluates the tag in full.
+  static constexpr std::uint32_t kArrived = 0;
+  /// Handoffs consumed per population tag (tag_index); sized at
+  /// construction when churn is on, since every churning drain hands tags
+  /// off, and otherwise on the first handoff.
   std::vector<std::uint32_t> handoffs_used_;
   std::vector<ChannelReport> channels_state_;
   std::vector<std::size_t> scheduled_;  ///< per-channel reader, per tick

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 
+#include "common/error.hpp"
+
 namespace rfid::tags {
 
 void TagSoA::reserve(std::size_t n) {
@@ -10,6 +12,7 @@ void TagSoA::reserve(std::size_t n) {
   id_hi_.reserve(n);
   id_lo_.reserve(n);
   slot_.reserve(n);
+  if (horizons_) horizon_.reserve(n);
 }
 
 void TagSoA::clear() noexcept {
@@ -17,6 +20,12 @@ void TagSoA::clear() noexcept {
   id_hi_.clear();
   id_lo_.clear();
   slot_.clear();
+  horizon_.clear();
+}
+
+void TagSoA::carry_horizons() {
+  horizons_ = true;
+  horizon_.assign(size(), 0);
 }
 
 namespace {
@@ -26,13 +35,14 @@ constexpr std::size_t kGatherPrefetch = 16;
 
 }  // namespace
 
-void TagSoA::push_back(const Tag* tag) {
+void TagSoA::push_back(const Tag* tag, std::uint32_t horizon) {
   const TagId& id = tag->id();
   tag_.push_back(reinterpret_cast<std::uintptr_t>(tag));
   id_hi_.push_back((static_cast<std::uint64_t>(id.words[0]) << 32) |
                    id.words[1]);
   id_lo_.push_back(static_cast<std::uint64_t>(id.words[2]));
   slot_.push_back(0);
+  if (horizons_) horizon_.push_back(horizon);
 }
 
 void TagSoA::resize(std::size_t n) {
@@ -40,6 +50,7 @@ void TagSoA::resize(std::size_t n) {
   id_hi_.resize(n);
   id_lo_.resize(n);
   slot_.resize(n);
+  if (horizons_) horizon_.resize(n);
 }
 
 void TagSoA::gather(std::span<const Tag> population) {
@@ -67,11 +78,13 @@ void TagSoA::compact(const std::vector<char>& done) {
   // Slots are scratch (see header) and are not moved.
   std::size_t write = 0;
   const std::size_t n = size();
+  std::uint32_t* const horizon = horizons_ ? horizon_.data() : nullptr;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t keep = done[i] == 0 ? 1u : 0u;
     tag_[write] = tag_[i];
     id_hi_[write] = id_hi_[i];
     id_lo_[write] = id_lo_[i];
+    if (horizon != nullptr) horizon[write] = horizon[i];
     write += keep;
   }
   resize(write);
@@ -85,7 +98,7 @@ void TagSoA::compact_singletons(const std::vector<std::uint32_t>& counts,
   // every slot read is the one this round's hash wrote.
   const std::size_t write = simd::compact_nonsingletons(
       counts.data(), slot_.data(), tag_.data(), id_hi_.data(), id_lo_.data(),
-      size(), backend);
+      size(), backend, horizons_ ? horizon_.data() : nullptr);
   resize(write);
 }
 
@@ -97,6 +110,7 @@ void TagSoA::split_circle(std::uint64_t seed, std::uint64_t modulus,
   // n; members are the rare side, so appending them costs little.
   // Non-members compact in place: the write cursor never passes the read
   // cursor.
+  RFID_EXPECTS(!horizons_);
   std::array<std::uint64_t, kSplitChunk> tag{};
   std::array<std::uint64_t, kSplitChunk> hi{};
   std::array<std::uint64_t, kSplitChunk> lo{};

@@ -18,6 +18,11 @@
 // itself is NOT mirrored here — the polling loops query
 // sim::Session::is_present live so churn schedules are honoured, and a
 // cached copy would only invite stale reads.
+//
+// A churning core::Deployment adds a fifth column, each tag's churn
+// horizon (carry_horizons), so its churn scan compares one sequential
+// array with the tick. Every mutator but split_circle carries it; a
+// TagSoA without it moves exactly the four columns above.
 #pragma once
 
 #include <cstddef>
@@ -39,18 +44,24 @@ class TagSoA final {
   void reserve(std::size_t n);
   void clear() noexcept;
 
+  /// Adds the churn-horizon column, zeroed for the elements already held.
+  /// Every mutator carries it from then on, split_circle excepted.
+  void carry_horizons();
+  [[nodiscard]] bool carries_horizons() const noexcept { return horizons_; }
+
   /// Appends one tag, splitting its 96-bit ID into the (hi, lo) words
   /// rfid::tag_hash_words consumes. The new element's slot is 0 until a
-  /// round writes it.
-  void push_back(const Tag* tag);
+  /// round writes it; its horizon, if the column is carried, is `horizon`.
+  void push_back(const Tag* tag, std::uint32_t horizon = 0);
 
   /// Resizes to exactly `n` elements; new elements are zeroed.
   void resize(std::size_t n);
 
   /// Makes each element the tag of `population` at the position its slot
-  /// holds, as push_back would have appended it, and zeroes the slot.
-  /// Placement writes a reader's population positions into the slots of
-  /// a resize()d TagSoA, then gathers its tags in one sequential pass.
+  /// holds, as push_back would have appended it, and zeroes the slot; a
+  /// carried horizon stays as it is. Placement writes a reader's
+  /// population positions into the slots of a resize()d TagSoA, then
+  /// gathers its tags in one sequential pass.
   void gather(std::span<const Tag> population);
 
   [[nodiscard]] const Tag* tag(std::size_t i) const noexcept {
@@ -76,6 +87,13 @@ class TagSoA final {
     slot_[i] = value;
   }
 
+  /// The churn horizon core::Deployment keeps per tag (only when
+  /// carries_horizons()): a tick no later than the first at which the
+  /// tag's zone or owner can change.
+  [[nodiscard]] std::uint32_t horizon(std::size_t i) const noexcept {
+    return horizon_[i];
+  }
+
   // Flat-array surface for the batched kernels (common/simd.hpp).
   [[nodiscard]] const std::uint64_t* id_hi_data() const noexcept {
     return id_hi_.data();
@@ -84,6 +102,9 @@ class TagSoA final {
     return id_lo_.data();
   }
   [[nodiscard]] std::uint32_t* slot_data() noexcept { return slot_.data(); }
+  [[nodiscard]] std::uint32_t* horizon_data() noexcept {
+    return horizon_.data();
+  }
 
   /// Order-preserving erase of every element whose done flag is set.
   /// Slots are left stale (round-scoped scratch, see slot()).
@@ -108,7 +129,8 @@ class TagSoA final {
   /// place, in order. `modulus` must be a power of two. Runs through
   /// simd::split_members one fixed-size chunk at a time, so the only heap
   /// growth is `members` outgrowing its capacity; any backend splits
-  /// exactly the same way.
+  /// exactly the same way. EHPP's circles never churn: a TagSoA that
+  /// carries horizons is a contract violation.
   void split_circle(std::uint64_t seed, std::uint64_t modulus,
                     std::uint64_t threshold, TagSoA& members,
                     simd::Backend backend);
@@ -126,6 +148,8 @@ class TagSoA final {
   std::vector<std::uint64_t> id_hi_;
   std::vector<std::uint64_t> id_lo_;
   std::vector<std::uint32_t> slot_;
+  std::vector<std::uint32_t> horizon_;  ///< empty unless horizons_
+  bool horizons_ = false;
 };
 
 }  // namespace rfid::tags

@@ -376,6 +376,37 @@ TEST(AllocGuard, DeploymentConstructionSizesSharesOnce) {
       << "empty population: " << empty << ", 20000 tags: " << full;
 }
 
+TEST(AllocGuard, ChurnDeploymentConstructionSizesSharesOnce) {
+  // With churn on, each reader's TagSoA carries a fifth column, its
+  // tags' churn horizons, and the constructor sizes the handoff ledger.
+  // Beyond an empty construction, that allows five allocations per reader
+  // and one for the ledger. A horizon column grown tag by tag, or a floor
+  // pass that stages its hashes on the heap, costs more.
+  constexpr std::size_t kReaders = 64;
+  Xoshiro256ss id_rng(kSeed + 7);
+  const tags::TagPopulation population =
+      tags::TagPopulation::uniform_random(20000, id_rng);
+  const tags::TagPopulation nobody;
+  core::DeploymentConfig config;
+  config.readers = kReaders;
+  config.channels = 8;
+  config.session.seed = kSeed;
+  config.session.keep_records = false;
+  config.zone_overlap = 0.2;
+  config.churn_move_per_tick = 0.0016;
+  config.churn_depart_per_tick = 0.0004;
+  const auto construction_allocs = [&config](const tags::TagPopulation& pop) {
+    const alloc_guard::Probe probe;
+    const core::Deployment deployment(pop, config);
+    EXPECT_EQ(deployment.active_remaining(), pop.size());
+    return probe.delta();
+  };
+  const std::uint64_t empty = construction_allocs(nobody);
+  const std::uint64_t full = construction_allocs(population);
+  EXPECT_LE(full, empty + 5 * kReaders + 1)
+      << "empty population: " << empty << ", 20000 tags: " << full;
+}
+
 TEST(AllocGuard, CheckpointEncodeIntoWarmBufferAllocationFree) {
   // simserved snapshots on every epoch boundary; once the byte buffer has
   // grown to its high-water size, re-encoding must allocate nothing.

@@ -11,14 +11,18 @@
 // on any host, and an AVX-512 host still runs the AVX2 kernels. The
 // population sizes pin the lane-tail edge cases of both widths (4 and 8
 // lanes): 0, 1, width-1 (pure tail), width (pure vector), width+1 (vector
-// + tail).
+// + tail). The TagSoA tests check that every mutator, the kernel-backed
+// compaction on each backend included, keeps the churn-horizon column
+// with its tags.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -56,7 +60,8 @@ TEST(SimdKernels, HashIndicesMatchScalarAtLaneTails) {
       id_hi[i] = rng();
       id_lo[i] = rng();
     }
-    for (const unsigned h : {0u, 1u, 5u, 12u, 30u}) {
+    // h = 32 is the churn floors' pick (core::PlacementRules).
+    for (const unsigned h : {0u, 1u, 5u, 12u, 30u, 32u}) {
       const std::uint64_t seed = rng();
       std::vector<std::uint32_t> scalar(n, 0xDEADBEEF);
       simd::hash_indices(seed, id_hi.data(), id_lo.data(), scalar.data(), n,
@@ -134,6 +139,178 @@ TEST(SimdKernels, CompactNonsingletonsMatchesScalarAndKeepsOrder) {
       }
     }
   }
+}
+
+TEST(SimdKernels, CompactNonsingletonsCarriesAFourthColumn) {
+  // The nullable 32-bit column (TagSoA's churn horizons) against the
+  // scalar reference, at every length up to eight AVX-512 vectors plus a
+  // ragged tail and at a length of many vectors. The three 64-bit columns
+  // come out as they do without the fourth.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 67; ++n) sizes.push_back(n);
+  sizes.push_back(10'000);
+  Xoshiro256ss rng(20261020);
+  for (const std::size_t n : sizes) {
+    const std::size_t f = 32;
+    std::vector<std::uint32_t> slot(n);
+    std::vector<std::uint32_t> counts(f, 0);
+    std::vector<std::uint64_t> a(n), b(n), c(n);
+    std::vector<std::uint32_t> d(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      slot[i] = static_cast<std::uint32_t>(rng() % f);
+      ++counts[slot[i]];
+      a[i] = i;
+      b[i] = rng();
+      c[i] = rng();
+      d[i] = static_cast<std::uint32_t>(rng());
+    }
+    auto a1 = a, b1 = b, c1 = c;
+    auto d1 = d;
+    const std::size_t kept = simd::compact_nonsingletons(
+        counts.data(), slot.data(), a1.data(), b1.data(), c1.data(), n,
+        simd::Backend::kScalar, d1.data());
+    for (const simd::Backend backend :
+         {simd::Backend::kScalar, simd::Backend::kAvx2,
+          simd::Backend::kAvx512}) {
+      SCOPED_TRACE(std::string(simd::backend_name(backend)) +
+                   " n=" + std::to_string(n));
+      auto a2 = a, b2 = b, c2 = c;
+      auto d2 = d;
+      ASSERT_EQ(simd::compact_nonsingletons(counts.data(), slot.data(),
+                                            a2.data(), b2.data(), c2.data(),
+                                            n, backend, d2.data()),
+                kept);
+      auto a3 = a, b3 = b, c3 = c;
+      ASSERT_EQ(simd::compact_nonsingletons(counts.data(), slot.data(),
+                                            a3.data(), b3.data(), c3.data(),
+                                            n, backend),
+                kept);
+      for (std::size_t i = 0; i < kept; ++i) {
+        ASSERT_EQ(a1[i], a2[i]) << "i=" << i;
+        ASSERT_EQ(b1[i], b2[i]) << "i=" << i;
+        ASSERT_EQ(c1[i], c2[i]) << "i=" << i;
+        ASSERT_EQ(d1[i], d2[i]) << "i=" << i;
+        ASSERT_EQ(d[a1[i]], d2[i]) << "i=" << i;  // still its element's
+        ASSERT_EQ(a2[i], a3[i]) << "i=" << i;
+        ASSERT_EQ(b2[i], b3[i]) << "i=" << i;
+        ASSERT_EQ(c2[i], c3[i]) << "i=" << i;
+      }
+    }
+  }
+}
+
+/// The horizon test's value for population position `i`: never 0, so a
+/// zeroed or unmoved entry shows.
+std::uint32_t horizon_of(std::size_t i) {
+  return static_cast<std::uint32_t>(i * 2654435761u) | 1u;
+}
+
+/// Checks that every element of `soa` holds its own tag's ID words and
+/// horizon_of(its population position).
+void expect_horizons_follow(const tags::TagSoA& soa,
+                            const tags::TagPopulation& pop,
+                            const std::string& step) {
+  ASSERT_TRUE(soa.carries_horizons()) << step;
+  for (std::size_t i = 0; i < soa.size(); ++i) {
+    const tags::Tag* tag = soa.tag(i);
+    const TagId& id = tag->id();
+    ASSERT_EQ(soa.id_hi(i), (std::uint64_t{id.words[0]} << 32) | id.words[1])
+        << step << " i=" << i;
+    ASSERT_EQ(soa.horizon(i),
+              horizon_of(static_cast<std::size_t>(tag - pop.tags().data())))
+        << step << " i=" << i;
+  }
+}
+
+TEST(TagSoA, HorizonColumnFollowsItsTag) {
+  Xoshiro256ss rng(20261021);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              std::size_t{9}, std::size_t{67},
+                              std::size_t{1000}}) {
+    const auto pop = tags::TagPopulation::uniform_random(n, rng);
+    for (const simd::Backend backend :
+         {simd::Backend::kScalar, simd::Backend::kAvx2,
+          simd::Backend::kAvx512}) {
+      SCOPED_TRACE(std::string(simd::backend_name(backend)) +
+                   " n=" + std::to_string(n));
+      tags::TagSoA soa;
+      EXPECT_FALSE(soa.carries_horizons());
+      soa.carry_horizons();
+      for (std::size_t i = 0; i < n; ++i)
+        soa.push_back(&pop[i], horizon_of(i));
+      expect_horizons_follow(soa, pop, "push_back");
+
+      // Grown elements are zeroed; shrinking keeps the rest in place.
+      soa.resize(n + 3);
+      for (std::size_t i = n; i < n + 3; ++i) EXPECT_EQ(soa.horizon(i), 0u);
+      soa.resize(n);
+      expect_horizons_follow(soa, pop, "resize");
+
+      std::vector<char> done(soa.size());
+      for (char& flag : done) flag = static_cast<char>(rng() % 3 == 0);
+      soa.compact(done);
+      expect_horizons_follow(soa, pop, "compact");
+
+      const std::size_t f = 16;
+      std::vector<std::uint32_t> counts(f, 0);
+      for (std::size_t i = 0; i < soa.size(); ++i) {
+        soa.set_slot(i, static_cast<std::uint32_t>(rng() % f));
+        ++counts[soa.slot(i)];
+      }
+      const std::size_t before = soa.size();
+      soa.compact_singletons(counts, backend);
+      expect_horizons_follow(soa, pop, "compact_singletons");
+      std::size_t singletons = 0;
+      for (const std::uint32_t count : counts) singletons += count == 1;
+      EXPECT_EQ(soa.size(), before - singletons);
+
+      tags::TagSoA other;
+      std::swap(soa, other);
+      expect_horizons_follow(other, pop, "swap");
+      EXPECT_FALSE(soa.carries_horizons());
+
+      // gather replaces each element's tag and keeps its horizon: give
+      // element i the tag at position n - 1 - i and that tag's horizon.
+      tags::TagSoA placed;
+      placed.carry_horizons();
+      placed.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        placed.set_slot(i, static_cast<std::uint32_t>(n - 1 - i));
+        placed.horizon_data()[i] = horizon_of(n - 1 - i);
+      }
+      placed.gather(pop.tags());
+      expect_horizons_follow(placed, pop, "gather");
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(placed.tag(i), &pop[n - 1 - i]);
+        EXPECT_EQ(placed.slot(i), 0u);
+      }
+    }
+  }
+}
+
+TEST(TagSoA, CarryingHorizonsZeroesThoseOfHeldTags) {
+  Xoshiro256ss rng(20261022);
+  const auto pop = tags::TagPopulation::uniform_random(5, rng);
+  tags::TagSoA soa;
+  soa.push_back(&pop[0], 77);  // no column yet: the horizon is dropped
+  soa.carry_horizons();
+  soa.push_back(&pop[1], 9);
+  ASSERT_EQ(soa.size(), 2u);
+  EXPECT_EQ(soa.horizon(0), 0u);
+  EXPECT_EQ(soa.horizon(1), 9u);
+}
+
+TEST(TagSoA, SplitCircleRejectsHorizons) {
+  // EHPP's circles never churn; a churning deployment's TagSoA must not
+  // reach the split, which would drop its horizons.
+  Xoshiro256ss rng(20261023);
+  const auto pop = tags::TagPopulation::uniform_random(64, rng);
+  tags::TagSoA active;
+  active.carry_horizons();
+  for (const tags::Tag& tag : pop) active.push_back(&tag);
+  tags::TagSoA joined;
+  EXPECT_THROW(active.split_circle(rng(), 16, 4, joined, simd::best_backend()),
+               ContractViolation);
 }
 
 /// Checks that `soa` holds exactly `want`, in order, with each element's ID
