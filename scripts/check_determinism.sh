@@ -82,9 +82,13 @@ check_reader_faults
 # take turns on one round scratch, so the execution grain must never leak
 # into the results. Run once per deployment protocol: TPP's clean rounds
 # size the poll-length buffer with resize, HPP's with assign. The two are
-# spelled in different cases, since --protocol takes either.
+# spelled in different cases, since --protocol takes either. A third TPP
+# run adds churn-fleet's reader-fault rates, so fault handoffs (horizon 0,
+# a full evaluation at the next scan) and churn run together.
 check_fleet_sharding() {
   local protocol="$1"
+  local name="$2"
+  shift 2
   local sweep_bin="$bin_dir/examples/deployment_sweep"
   if [ ! -x "$sweep_bin" ]; then
     echo "check_determinism: missing $sweep_bin (build with RFID_BUILD_EXAMPLES=ON)" >&2
@@ -92,8 +96,9 @@ check_fleet_sharding() {
     return
   fi
   local args=(--tags 1000000 --readers 64 --channels 8
-              --overlap 0.1 --churn 0.001 --seed 11 --protocol "$protocol")
-  local out="$workdir/sweep-$protocol"
+              --overlap 0.1 --churn 0.001 --seed 11 --protocol "$protocol"
+              "$@")
+  local out="$workdir/sweep-$name"
   RFID_THREADS=0 "$sweep_bin" "${args[@]}" --shards 1 \
     --report-json "$out-serial.json" > "$out-serial.txt"
   RFID_THREADS=4 "$sweep_bin" "${args[@]}" \
@@ -104,7 +109,7 @@ check_fleet_sharding() {
   for variant in pooled shard7; do
     for ext in json txt; do
       if ! cmp -s "$out-serial.$ext" "$out-$variant.$ext"; then
-        echo "check_determinism[fleet-shard $protocol]: serial and $variant .$ext outputs differ:" >&2
+        echo "check_determinism[fleet-shard $name]: serial and $variant .$ext outputs differ:" >&2
         cmp "$out-serial.$ext" "$out-$variant.$ext" >&2 || true
         diff "$out-serial.$ext" "$out-$variant.$ext" >&2 || true
         status=1
@@ -112,10 +117,12 @@ check_fleet_sharding() {
     done
   done
 }
-check_fleet_sharding TPP
-check_fleet_sharding hpp
+check_fleet_sharding TPP TPP
+check_fleet_sharding hpp hpp
+check_fleet_sharding TPP TPP-faults --crash 0.0002 --stall 0.0004 \
+  --restart 0.0001
 [ "$status" -eq 0 ] || exit "$status"
 
 echo "check_determinism: OK (serial == RFID_THREADS=4, byte-identical," \
   "clean and fault channels, supervised reader fleet, sharded deployment" \
-  "under TPP and HPP)"
+  "under TPP and HPP, and under TPP with reader faults)"

@@ -36,7 +36,10 @@
 //     neither its zone nor its owner can change. Each reader keeps that
 //     tick in a horizon column beside its tags' ID words (tags::TagSoA)
 //     and re-evaluates a tag only once it has come: the scan's cost
-//     follows churn events, not active tags x ticks. Placement sets every
+//     follows churn events, not active tags x ticks. A scan lists its due
+//     tags in one compare-and-compress pass, evaluates them a block at a
+//     time (PlacementRules::evaluate_churn) and erases the ones that left
+//     in one order-preserving pass. Placement sets every
 //     horizon to a log-free lower bound on the tag's first event, a churn
 //     move hands the tag's next event to its new reader, and a fault
 //     handoff stores 0, a full evaluation at the next scan.
@@ -65,6 +68,7 @@
 // ("Deployment simulator").
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -203,13 +207,24 @@ struct ChurnPosition final {
                                            std::uint64_t tick,
                                            const DeploymentConfig& config);
 
+/// What a churn scan at a tick finds of a tag, from its home zone: that it
+/// has departed, or else its owner (owner_in_zone of its churn position's
+/// zone) and its churn position's next_event_at.
+struct ChurnOutcome final {
+  std::uint64_t next_event_at;  ///< UINT64_MAX once departed
+  std::uint32_t owner;          ///< 0 once departed
+  bool departed;
+};
+
 /// The placement and churn rules above over a tag's ID words (see
 /// core::id_words and tags::TagSoA), with every per-config constant derived
-/// once: the overlap key, the event-0 churn keys and the hazard's
-/// log-survival. reader_of, owner_in_zone and churn_position are thin
-/// wrappers over these forms, the way tag_hash wraps tag_hash_words;
+/// once: the overlap key, the churn keys of events 0 and 1 and the
+/// hazard's log-survival. reader_of, owner_in_zone and churn_position are
+/// thin wrappers over these forms, the way tag_hash wraps tag_hash_words;
 /// core::Deployment keeps one instance per sweep, so its churn scan never
-/// re-derives a key or dereferences a Tag.
+/// re-derives a key or dereferences a Tag. The per-zone ownership seeds
+/// are the batch forms' argument, not a member, so that constructing an
+/// instance stays cheap for the wrappers.
 class PlacementRules final {
  public:
   explicit PlacementRules(const DeploymentConfig& config) noexcept;
@@ -220,13 +235,34 @@ class PlacementRules final {
   /// Requires zone < readers.
   [[nodiscard]] std::size_t owner_in_zone(IdWords id,
                                           std::size_t zone) const noexcept;
-  /// owner_in_zone(id, home(id)) of every tag, into owners[0, tags.size()).
-  /// The home and reach tests run first, branch-free over every tag; only
-  /// the tags that reach a neighbour then take the ownership hashes.
-  /// Requires readers < 2^31.
-  void place(std::span<const tags::Tag> tags, std::uint32_t* owners) const;
+  /// Every zone's ownership seed, indexed by zone: what owner_in_zone
+  /// derives per call, for the batch forms below. Empty when no tag can
+  /// reach a neighbour (one reader, or no overlap).
+  [[nodiscard]] std::vector<std::uint64_t> ownership_seeds() const;
+  /// owner_in_zone(id, home(id)) of every tag, into owners[0, tags.size()),
+  /// given ownership_seeds(). The home and reach tests run first,
+  /// branch-free over every tag; only the tags that reach a neighbour then
+  /// take the ownership hashes. Requires readers < 2^31.
+  void place(std::span<const tags::Tag> tags,
+             std::span<const std::uint64_t> zone_seeds,
+             std::uint32_t* owners) const;
   [[nodiscard]] ChurnPosition churn_position(IdWords id, std::size_t home_zone,
                                              std::uint64_t tick) const noexcept;
+  /// Tags evaluate_churn hashes per simd::hash_words call, into rows on
+  /// the stack.
+  static constexpr std::size_t kChurnBlock = 256;
+  /// For each i < n, the ChurnOutcome at `tick` of the tag with ID words
+  /// (id_hi[i], id_lo[i]) from its home zone, into out[i], given
+  /// ownership_seeds(): what home, churn_position and owner_in_zone give.
+  /// One simd::hash_words call per block hashes each tag under the six
+  /// keys its first two events need (home, overlap reach, and each event's
+  /// wait and kind). A scalar pass then takes those events' steps from the
+  /// ready hashes, and a tag whose third event is due by `tick` walks on
+  /// from there, as churn_position does.
+  void evaluate_churn(const std::uint64_t* id_hi, const std::uint64_t* id_lo,
+                      std::size_t n, std::uint64_t tick,
+                      std::span<const std::uint64_t> zone_seeds,
+                      ChurnOutcome* out) const;
   /// For each i < n, a lower bound on the tick of the first churn event of
   /// the tag with ID words (id_hi[i], id_lo[i]), strictly below
   /// churn_position(id, z, 0).next_event_at for every zone z, found
@@ -236,6 +272,35 @@ class PlacementRules final {
                           std::size_t n) const;
 
  private:
+  /// The rows of evaluate_churn's hashes, in the order of keys_.
+  enum Row : std::size_t {
+    kHome,   ///< the partition hash (home)
+    kReach,  ///< the overlap draw (reaches_neighbor)
+    kWait0,  ///< event 0's interarrival draw
+    kKind0,  ///< event 0's depart-or-move draw
+    kWait1,
+    kKind1,
+    kRows,
+  };
+
+  /// The key of event `event`'s interarrival hash (kind 0) or its
+  /// depart-or-move hash (kind 1).
+  [[nodiscard]] std::uint64_t event_key(std::uint64_t event,
+                                        std::uint64_t kind) const noexcept;
+  /// One event of a tag's churn walk, the one step the walk and
+  /// evaluate_churn share. `at` is the tick of the event before it (0
+  /// before event 0). The event fires at the tick its wait hash gives; if
+  /// that is past `tick` it becomes next_event_at and the walk stops.
+  /// Otherwise it departs or moves the tag by its kind hash, which
+  /// kind_hash() yields only then. Returns whether the walk goes on.
+  template <typename KindHash>
+  bool step(ChurnPosition& position, std::uint64_t& at,
+            std::uint64_t wait_hash, KindHash kind_hash,
+            std::uint64_t tick) const noexcept;
+  /// The walk from event `event` on, `at` being the tick of the one before.
+  void walk(ChurnPosition& position, IdWords id, std::uint64_t event,
+            std::uint64_t at, std::uint64_t tick) const noexcept;
+
   std::size_t readers_;
   std::uint64_t partition_seed_;
   double zone_overlap_;
@@ -249,9 +314,8 @@ class PlacementRules final {
   /// The floors' slope: (1 - 2^-40) / -log_survive_ rounded down and
   /// capped at UINT32_MAX; 0 with no hazard.
   std::uint64_t floor_slope_;
-  /// Event 0's interarrival and depart-or-move keys.
-  std::uint64_t first_wait_key_;
-  std::uint64_t first_kind_key_;
+  /// The key of each Row.
+  std::array<std::uint64_t, kRows> keys_;
 };
 
 // --- The simulator ----------------------------------------------------------
@@ -309,9 +373,9 @@ class Deployment final {
     return config_.churn_depart_per_tick + config_.churn_move_per_tick > 0.0;
   }
   void run_reader_parallel(std::size_t reader, detail::ReaderRuntime& rt,
-                           protocols::RoundPolicy& policy,
-                           protocols::RoundScratch& scratch);
-  void churn_scan(std::size_t reader, detail::ReaderRuntime& rt);
+                           std::size_t shard);
+  void churn_scan(std::size_t reader, detail::ReaderRuntime& rt,
+                  std::vector<std::uint32_t>& due);
   /// Consumes one unit of the tag's fleet handoff budget; false once spent.
   [[nodiscard]] bool take_handoff(const tags::Tag* tag);
   [[nodiscard]] std::size_t tag_index(const tags::Tag* tag) const noexcept {
@@ -331,6 +395,12 @@ class Deployment final {
   /// buffer, and a policy keeps nothing from one round to the next.
   std::vector<std::unique_ptr<protocols::RoundPolicy>> policy_;
   std::vector<protocols::RoundScratch> scratch_;
+  /// The churn scan's scratch per execution shard: the due positions of
+  /// the reader it scans, then, in their first entries, the leaving ones.
+  /// Sized at placement to the shard's largest share.
+  std::vector<std::vector<std::uint32_t>> due_;
+  /// PlacementRules::ownership_seeds(), derived once.
+  std::vector<std::uint64_t> zone_seeds_;
   std::vector<detail::ReaderRuntime> runtime_;
   fault::ReaderSupervisor supervisor_;
   /// The horizon a fault handoff stores (tags::TagSoA::horizon): due at

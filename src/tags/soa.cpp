@@ -90,6 +90,13 @@ void TagSoA::compact(const std::vector<char>& done) {
   resize(write);
 }
 
+void TagSoA::erase(const std::uint32_t* positions, std::size_t count,
+                   simd::Backend backend) {
+  resize(simd::erase_positions(columns(0),
+                               horizons_ ? horizon_.data() : nullptr, size(),
+                               positions, count, backend));
+}
+
 void TagSoA::compact_singletons(const std::vector<std::uint32_t>& counts,
                                 simd::Backend backend) {
   // Survival is "my bucket was not a singleton", read straight off the

@@ -110,6 +110,13 @@ class TagSoA final {
   /// Slots are left stale (round-scoped scratch, see slot()).
   void compact(const std::vector<char>& done);
 
+  /// Order-preserving erase of the `count` elements at `positions`, which
+  /// ascend strictly and lie below size(). Slots are left stale. Runs
+  /// through simd::erase_positions; any backend erases exactly the same
+  /// elements.
+  void erase(const std::uint32_t* positions, std::size_t count,
+             simd::Backend backend);
+
   /// Order-preserving erase of every element whose picked slot is a
   /// singleton bucket (counts[slot] == 1) — the clean-round compaction,
   /// where every singleton poll deterministically succeeded and every

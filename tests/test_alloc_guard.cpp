@@ -348,6 +348,55 @@ TEST(AllocGuard, DeploymentDrainAllocatesFewerTimesThanReaders) {
   }
 }
 
+TEST(AllocGuard, ChurnDrainAllocatesAFewTimesPerReader) {
+  // A churning serial drain: every scheduled reader scans its horizons
+  // before its round. The scan's scratch lives per shard and is sized at
+  // placement, so what the tick loop allocates is growth: each reader's
+  // move and departure lists, the columns of readers that take handoffs
+  // and the report's ID lists. That is a small multiple of the reader
+  // count, and it must not grow with the number of scans: the second half
+  // of the drain, with as many scans as the first, allocates far less.
+  constexpr std::size_t kReaders = 64;
+  constexpr std::size_t kChannels = 8;
+  Xoshiro256ss id_rng(kSeed + 8);
+  const tags::TagPopulation population =
+      tags::TagPopulation::uniform_random(20000, id_rng);
+  core::DeploymentConfig config;
+  config.readers = kReaders;
+  config.channels = kChannels;
+  config.session.seed = kSeed;
+  config.session.keep_records = false;
+  config.zone_overlap = 0.2;
+  config.churn_move_per_tick = 0.0016;
+  config.churn_depart_per_tick = 0.0004;
+  core::Deployment deployment(population, config);
+  ASSERT_EQ(deployment.shard_count(), 1u);
+
+  std::vector<std::uint64_t> per_tick;
+  for (;;) {
+    const alloc_guard::Probe probe;
+    const bool more = deployment.tick();
+    per_tick.push_back(probe.delta());
+    if (!more) break;
+  }
+  const std::size_t half = per_tick.size() / 2;
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
+  for (std::size_t t = 0; t < per_tick.size(); ++t)
+    (t < half ? first : second) += per_tick[t];
+  // Every tick schedules one reader per channel. The bound is the
+  // parent tree's count, 371 (5.8 per reader), rounded up; the per-reader
+  // leave flags that tree grew at each reader's first scan are gone.
+  const std::uint64_t scans_per_half = half * kChannels;
+  EXPECT_GE(scans_per_half, 8 * kReaders);  // the gate measured something
+  EXPECT_LE(first + second, 6 * kReaders)
+      << "first half " << first << ", second half " << second << " over "
+      << per_tick.size() << " ticks";
+  EXPECT_LE(second * 8, first)
+      << "first half " << first << ", second half " << second;
+  EXPECT_TRUE(deployment.finish().verified);
+}
+
 TEST(AllocGuard, DeploymentConstructionSizesSharesOnce) {
   // Placement counts each reader's share before it fills any, so a serial
   // construction sizes every reader's four TagSoA columns once. Beyond
@@ -378,10 +427,11 @@ TEST(AllocGuard, DeploymentConstructionSizesSharesOnce) {
 
 TEST(AllocGuard, ChurnDeploymentConstructionSizesSharesOnce) {
   // With churn on, each reader's TagSoA carries a fifth column, its
-  // tags' churn horizons, and the constructor sizes the handoff ledger.
-  // Beyond an empty construction, that allows five allocations per reader
-  // and one for the ledger. A horizon column grown tag by tag, or a floor
-  // pass that stages its hashes on the heap, costs more.
+  // tags' churn horizons, and the constructor sizes the handoff ledger and
+  // each shard's churn-scan scratch. Beyond an empty construction, that
+  // allows five allocations per reader, one for the ledger and one per
+  // shard. A horizon column grown tag by tag, or a floor pass that stages
+  // its hashes on the heap, costs more.
   constexpr std::size_t kReaders = 64;
   Xoshiro256ss id_rng(kSeed + 7);
   const tags::TagPopulation population =
@@ -399,11 +449,12 @@ TEST(AllocGuard, ChurnDeploymentConstructionSizesSharesOnce) {
     const alloc_guard::Probe probe;
     const core::Deployment deployment(pop, config);
     EXPECT_EQ(deployment.active_remaining(), pop.size());
+    EXPECT_EQ(deployment.shard_count(), 1u);
     return probe.delta();
   };
   const std::uint64_t empty = construction_allocs(nobody);
   const std::uint64_t full = construction_allocs(population);
-  EXPECT_LE(full, empty + 5 * kReaders + 1)
+  EXPECT_LE(full, empty + 5 * kReaders + 1 + 1)
       << "empty population: " << empty << ", 20000 tags: " << full;
 }
 

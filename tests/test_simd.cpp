@@ -11,11 +11,13 @@
 // on any host, and an AVX-512 host still runs the AVX2 kernels. The
 // population sizes pin the lane-tail edge cases of both widths (4 and 8
 // lanes): 0, 1, width-1 (pure tail), width (pure vector), width+1 (vector
-// + tail). The TagSoA tests check that every mutator, the kernel-backed
-// compaction on each backend included, keeps the churn-horizon column
-// with its tags.
+// + tail); the churn scan's kernels (hash_words, due_positions,
+// erase_positions) run at every length 0-67 and at 10^4. The TagSoA tests
+// check that every mutator, the kernel-backed compaction and erase on each
+// backend included, keeps the churn-horizon column with its tags.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -199,6 +201,151 @@ TEST(SimdKernels, CompactNonsingletonsCarriesAFourthColumn) {
   }
 }
 
+/// Every length up to eight AVX-512 vectors plus a ragged tail, and a
+/// length of many vectors.
+std::vector<std::size_t> churn_kernel_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 67; ++n) sizes.push_back(n);
+  sizes.push_back(10'000);
+  return sizes;
+}
+
+constexpr simd::Backend kAllBackends[] = {
+    simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kAvx512};
+
+TEST(SimdKernels, HashWordsMatchTheScalarChain) {
+  // Full-width H(r, id) under 0, 1 and the churn scan's 6 keys, one row of
+  // n per key, against rfid::tag_hash_words itself.
+  Xoshiro256ss rng(20261101);
+  for (const std::size_t n : churn_kernel_sizes()) {
+    std::vector<std::uint64_t> id_hi(n), id_lo(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      id_hi[i] = rng();
+      id_lo[i] = rng();
+    }
+    for (const std::size_t key_count : {0u, 1u, 6u}) {
+      std::vector<std::uint64_t> keys(key_count);
+      for (std::uint64_t& key : keys) key = rng();
+      for (const simd::Backend backend : kAllBackends) {
+        SCOPED_TRACE(std::string(simd::backend_name(backend)) +
+                     " n=" + std::to_string(n) +
+                     " keys=" + std::to_string(key_count));
+        // One spare element past the rows: a kernel store past them shows.
+        std::vector<std::uint64_t> out(key_count * n + 1, 0xDEADBEEF);
+        simd::hash_words(keys.data(), key_count, id_hi.data(), id_lo.data(),
+                         out.data(), n, backend);
+        for (std::size_t k = 0; k < key_count; ++k)
+          for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(out[k * n + i],
+                      tag_hash_words(keys[k], id_hi[i], id_lo[i]))
+                << "k=" << k << " i=" << i;
+        EXPECT_EQ(out.back(), 0xDEADBEEFu);
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, DuePositionsMatchScalar) {
+  // Horizons around the tick, with the tick at 0, in the middle and at
+  // UINT32_MAX (where every horizon is due).
+  Xoshiro256ss rng(20261102);
+  for (const std::size_t n : churn_kernel_sizes()) {
+    std::vector<std::uint32_t> horizon(n);
+    for (std::uint32_t& h : horizon)
+      h = rng() % 4 == 0 ? static_cast<std::uint32_t>(rng())
+                         : static_cast<std::uint32_t>(990 + rng() % 20);
+    for (const std::uint32_t tick : {0u, 1000u, UINT32_MAX}) {
+      std::vector<std::uint32_t> want;
+      for (std::size_t i = 0; i < n; ++i)
+        if (horizon[i] <= tick) want.push_back(static_cast<std::uint32_t>(i));
+      for (const simd::Backend backend : kAllBackends) {
+        SCOPED_TRACE(std::string(simd::backend_name(backend)) +
+                     " n=" + std::to_string(n) +
+                     " tick=" + std::to_string(tick));
+        std::vector<std::uint32_t> out(n + 1, 0xFEEDFACE);
+        const std::size_t due =
+            simd::due_positions(horizon.data(), n, tick, out.data(), backend);
+        ASSERT_EQ(due, want.size());
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), out.begin()));
+        EXPECT_EQ(out[n], 0xFEEDFACEu);
+      }
+    }
+  }
+}
+
+/// Erase lists for n elements: none, the first, the last, every one, runs
+/// across 8-lane groups, every other one and a sparse random draw.
+std::vector<std::vector<std::uint32_t>> erase_lists(std::size_t n,
+                                                    Xoshiro256ss& rng) {
+  std::vector<std::vector<std::uint32_t>> lists(1);
+  if (n == 0) return lists;
+  const auto last = static_cast<std::uint32_t>(n - 1);
+  lists.push_back({0});
+  lists.push_back({last});
+  std::vector<std::uint32_t> every, runs, alternate, sparse;
+  for (std::uint32_t i = 0; i <= last; ++i) {
+    every.push_back(i);
+    if (i % 16 >= 5 && i % 16 <= 11) runs.push_back(i);  // 5..11 of 16
+    if (i % 2 == 1) alternate.push_back(i);
+    if (rng() % 7 == 0) sparse.push_back(i);
+  }
+  for (auto* list : {&every, &runs, &alternate, &sparse})
+    if (!list->empty()) lists.push_back(*list);
+  return lists;
+}
+
+TEST(SimdKernels, ErasePositionsMatchScalar) {
+  // Against a reference that keeps the elements not listed, with and
+  // without the 32-bit column. Ascending payloads show any reordering.
+  Xoshiro256ss rng(20261103);
+  for (const std::size_t n : churn_kernel_sizes()) {
+    std::vector<std::uint64_t> a(n), b(n), c(n);
+    std::vector<std::uint32_t> d(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = i;
+      b[i] = rng();
+      c[i] = rng();
+      d[i] = static_cast<std::uint32_t>(rng());
+    }
+    for (const std::vector<std::uint32_t>& erase : erase_lists(n, rng)) {
+      std::vector<std::uint64_t> want_a, want_b, want_c;
+      std::vector<std::uint32_t> want_d;
+      std::size_t p = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (p < erase.size() && erase[p] == i) {
+          ++p;
+          continue;
+        }
+        want_a.push_back(a[i]);
+        want_b.push_back(b[i]);
+        want_c.push_back(c[i]);
+        want_d.push_back(d[i]);
+      }
+      for (const simd::Backend backend : kAllBackends) {
+        for (const bool fourth : {false, true}) {
+          SCOPED_TRACE(std::string(simd::backend_name(backend)) +
+                       " n=" + std::to_string(n) +
+                       " erased=" + std::to_string(erase.size()) +
+                       (fourth ? " with col_d" : ""));
+          auto a2 = a, b2 = b, c2 = c;
+          auto d2 = d;
+          const std::size_t kept = simd::erase_positions(
+              {a2.data(), b2.data(), c2.data()}, fourth ? d2.data() : nullptr,
+              n, erase.data(), erase.size(), backend);
+          ASSERT_EQ(kept, want_a.size());
+          EXPECT_TRUE(std::equal(want_a.begin(), want_a.end(), a2.begin()));
+          EXPECT_TRUE(std::equal(want_b.begin(), want_b.end(), b2.begin()));
+          EXPECT_TRUE(std::equal(want_c.begin(), want_c.end(), c2.begin()));
+          if (fourth)
+            EXPECT_TRUE(std::equal(want_d.begin(), want_d.end(), d2.begin()));
+          else
+            EXPECT_EQ(d2, d);
+        }
+      }
+    }
+  }
+}
+
 /// The horizon test's value for population position `i`: never 0, so a
 /// zeroed or unmoved entry shows.
 std::uint32_t horizon_of(std::size_t i) {
@@ -216,6 +363,7 @@ void expect_horizons_follow(const tags::TagSoA& soa,
     const TagId& id = tag->id();
     ASSERT_EQ(soa.id_hi(i), (std::uint64_t{id.words[0]} << 32) | id.words[1])
         << step << " i=" << i;
+    ASSERT_EQ(soa.id_lo(i), id.words[2]) << step << " i=" << i;
     ASSERT_EQ(soa.horizon(i),
               horizon_of(static_cast<std::size_t>(tag - pop.tags().data())))
         << step << " i=" << i;
@@ -250,6 +398,15 @@ TEST(TagSoA, HorizonColumnFollowsItsTag) {
       for (char& flag : done) flag = static_cast<char>(rng() % 3 == 0);
       soa.compact(done);
       expect_horizons_follow(soa, pop, "compact");
+
+      // erase takes ascending positions, the last one included.
+      std::vector<std::uint32_t> erase;
+      for (std::uint32_t i = 0; i < soa.size(); ++i)
+        if (rng() % 4 == 0 || i + 1 == soa.size()) erase.push_back(i);
+      const std::size_t before_erase = soa.size();
+      soa.erase(erase.data(), erase.size(), backend);
+      EXPECT_EQ(soa.size(), before_erase - erase.size());
+      expect_horizons_follow(soa, pop, "erase");
 
       const std::size_t f = 16;
       std::vector<std::uint32_t> counts(f, 0);
