@@ -60,9 +60,6 @@ class FaultInjector final {
     return !churn_active() || !absent_.contains(id);
   }
 
-  /// Current Gilbert–Elliott state (tests/diagnostics).
-  [[nodiscard]] bool in_bad_state() const noexcept { return bad_state_; }
-
   // --- Reader-level faults (fleet runs; see core/deployment.hpp) -----------
 
   /// Arms the reader-fault process for one reader, seeding its dedicated
@@ -70,10 +67,6 @@ class FaultInjector final {
   /// independent of channel-fault consumption). A config with all
   /// probabilities zero never draws.
   void arm_reader_faults(const ReaderFaultConfig& config, std::uint64_t seed);
-
-  [[nodiscard]] bool reader_faults_active() const noexcept {
-    return reader_faults_.enabled();
-  }
 
   /// One scheduling tick of the reader-fault process: at most one fault per
   /// tick, most severe wins (crash > restart > stall). Exactly one draw per

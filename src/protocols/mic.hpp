@@ -41,10 +41,6 @@ class Mic final : public PollingProtocol {
       const tags::TagPopulation& population,
       const sim::SessionConfig& config) const override;
 
-  [[nodiscard]] const Config& protocol_config() const noexcept {
-    return config_;
-  }
-
  private:
   Config config_;
   std::string display_name_;

@@ -78,10 +78,6 @@ class Session final : public fault::RecoveryHost {
 
   // --- Fault recovery (fault::RecoveryHost) ---------------------------------
 
-  [[nodiscard]] bool recovery_enabled() const noexcept {
-    return config_.recovery.enabled;
-  }
-
   /// Records that the recovery policy abandoned `id` (budget exhausted).
   void mark_undelivered(const TagId& id) override;
 

@@ -1,4 +1,4 @@
-#include "analysis/mic_model.hpp"
+#include "mic_model.hpp"
 
 #include <cmath>
 

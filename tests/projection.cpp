@@ -1,4 +1,4 @@
-#include "core/projection.hpp"
+#include "projection.hpp"
 
 #include <cmath>
 

@@ -17,6 +17,23 @@ TEST(C1G2Timing, DefaultsMatchPaperSettings) {
   EXPECT_EQ(t.query_rep_bits, 4u);
 }
 
+TEST(C1G2Timing, BitTimesFollowFromLinkSettings) {
+  const C1G2Timing t;
+  // Reader -> tag is PIE: a data-0 lasts one Tari, a data-1 two. At Tari
+  // 25 us a balanced bit mix averages 37.5 us/bit, 26.7 kbps; the paper
+  // quotes the reciprocal of that rounded rate, 37.45 us.
+  constexpr double kTariUs = 25.0;
+  const double pie_us_per_bit = (kTariUs + 2.0 * kTariUs) / 2.0;
+  EXPECT_DOUBLE_EQ(pie_us_per_bit, 37.5);
+  EXPECT_NEAR(1000.0 / pie_us_per_bit, 26.7, 0.05);
+  EXPECT_NEAR(t.reader_us_per_bit, pie_us_per_bit, 0.1);
+  EXPECT_NEAR(1000.0 / t.reader_us_per_bit, 26.7, 0.01);
+  // Tag -> reader is FM0: one bit per backscatter-link-frequency cycle, so
+  // BLF 40 kHz gives 25 us/bit, 40 kbps.
+  constexpr double kBlfKhz = 40.0;
+  EXPECT_DOUBLE_EQ(t.tag_us_per_bit, 1000.0 / kBlfKhz);
+}
+
 TEST(C1G2Timing, PollFormulaMatchesPaper) {
   // 37.45 * (4 + w) + T1 + 25 l + T2 for w = 3, l = 1.
   const C1G2Timing t;

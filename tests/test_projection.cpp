@@ -5,7 +5,7 @@
 
 #include "common/math_util.hpp"
 #include "core/polling.hpp"
-#include "core/projection.hpp"
+#include "projection.hpp"
 
 namespace rfid::core {
 namespace {

@@ -5,8 +5,8 @@
 #include <string>
 #include <unordered_set>
 
-#include "analysis/mic_model.hpp"
 #include "core/polling.hpp"
+#include "mic_model.hpp"
 #include "protocols/mic.hpp"
 #include "sim/report_io.hpp"
 

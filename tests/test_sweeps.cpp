@@ -1,5 +1,5 @@
 // Wide parameterized sweeps over protocol knobs — the configurations a
-// deployment might actually pick — plus a state-machine conformance replay.
+// deployment might actually pick.
 #include <gtest/gtest.h>
 
 #include <type_traits>
@@ -8,7 +8,6 @@
 #include "protocols/enhanced_hash_polling.hpp"
 #include "protocols/mic.hpp"
 #include "protocols/tree_polling.hpp"
-#include "tags/state_machine.hpp"
 
 namespace rfid {
 namespace {
@@ -120,36 +119,6 @@ TEST(PayloadScaling, RelativeGapShrinksWithPayload) {
     return hpp / tpp;
   };
   EXPECT_GT(ratio_at(1), ratio_at(32));
-}
-
-// --- State-machine conformance of the polling interaction --------------------
-
-TEST(StateMachineConformance, PollingSessionMapsToLegalTransitions) {
-  // Replay the abstract polling interaction on C1G2 state machines: each
-  // poll is Query(slot 0 for the addressed tag) -> Reply -> ACK ->
-  // inventory complete; unaddressed tags sit out via the session-flag
-  // mechanism. No illegal command may ever be issued.
-  constexpr std::size_t kTags = 64;
-  std::vector<tags::TagStateMachine> machines(kTags);
-  for (std::size_t target = 0; target < kTags; ++target) {
-    for (std::size_t i = 0; i < kTags; ++i) {
-      // The polling vector addresses exactly one tag: model it as that tag
-      // loading slot 0 while the rest skip the round (wrong target flag
-      // from their perspective — they did not match the vector).
-      if (i == target) {
-        EXPECT_TRUE(machines[i].on_query(machines[i].inventoried(), 0));
-      }
-    }
-    EXPECT_EQ(machines[target].state(), tags::TagState::kReply);
-    EXPECT_TRUE(machines[target].on_ack());
-    EXPECT_TRUE(machines[target].on_inventory_complete());
-    EXPECT_EQ(machines[target].state(), tags::TagState::kReady);
-  }
-  for (const auto& machine : machines) {
-    EXPECT_EQ(machine.illegal_commands(), 0u);
-    // Every tag was inventoried exactly once: all flags flipped to B.
-    EXPECT_EQ(machine.inventoried(), tags::SessionFlag::kB);
-  }
 }
 
 }  // namespace
