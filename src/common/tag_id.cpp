@@ -1,23 +1,8 @@
 #include "common/tag_id.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 namespace rfid {
-
-std::size_t TagId::common_prefix_length(const TagId& other) const noexcept {
-  std::size_t prefix = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    const std::uint32_t diff = words[i] ^ other.words[i];
-    if (diff == 0) {
-      prefix += 32;
-      continue;
-    }
-    prefix += static_cast<std::size_t>(std::countl_zero(diff));
-    break;
-  }
-  return prefix;
-}
 
 std::string TagId::to_hex() const {
   static constexpr char kDigits[] = "0123456789abcdef";

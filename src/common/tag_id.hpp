@@ -48,10 +48,6 @@ struct TagId final {
     return out;
   }
 
-  /// Length of the common most-significant-bit prefix shared with `other`.
-  [[nodiscard]] std::size_t common_prefix_length(
-      const TagId& other) const noexcept;
-
   /// 24-hex-digit canonical rendering (EPC style).
   [[nodiscard]] std::string to_hex() const;
 

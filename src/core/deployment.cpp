@@ -847,9 +847,7 @@ DeploymentReport Deployment::finish() {
 std::size_t Deployment::reader_count() const noexcept {
   return config_.readers;
 }
-std::size_t Deployment::channel_count() const noexcept { return channels_; }
 std::size_t Deployment::shard_count() const noexcept { return shards_; }
-std::uint64_t Deployment::ticks_run() const noexcept { return tick_; }
 
 std::size_t Deployment::active_remaining() const {
   std::size_t remaining = 0;

@@ -350,9 +350,7 @@ class Deployment final {
   // --- Live views (telemetry; safe between ticks) ---------------------------
 
   [[nodiscard]] std::size_t reader_count() const noexcept;
-  [[nodiscard]] std::size_t channel_count() const noexcept;
   [[nodiscard]] std::size_t shard_count() const noexcept;
-  [[nodiscard]] std::uint64_t ticks_run() const noexcept;
   [[nodiscard]] std::size_t active_remaining() const;
   /// Folded incarnations ⊕ the live session's running totals.
   [[nodiscard]] sim::Metrics reader_metrics(std::size_t reader) const;

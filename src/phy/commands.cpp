@@ -75,34 +75,4 @@ std::optional<CircleCommand> CircleCommand::decode(const BitVec& frame) {
   return command;
 }
 
-BitVec SelectCommand::encode() const {
-  RFID_EXPECTS(prefix_length <= kTagIdBits);
-  BitVec frame;
-  frame.append_bits(kOpSelect, kOpcodeBits);
-  frame.append_bits(static_cast<std::uint64_t>(prefix_length), 7);
-  frame.append_bits(frame_crc5(frame, 11), 5);
-  for (std::size_t b = 0; b < prefix_length; ++b)
-    frame.push_back(prefix.bit(b));
-  RFID_ENSURES(frame.size() == bits());
-  return frame;
-}
-
-std::optional<SelectCommand> SelectCommand::decode(const BitVec& frame) {
-  if (frame.size() < 16) return std::nullopt;
-  if (frame.read_bits(0, kOpcodeBits) != kOpSelect) return std::nullopt;
-  if (frame.read_bits(11, 5) != frame_crc5(frame, 11)) return std::nullopt;
-  SelectCommand command;
-  command.prefix_length = static_cast<std::size_t>(frame.read_bits(4, 7));
-  if (command.prefix_length > kTagIdBits ||
-      frame.size() != 16 + command.prefix_length)
-    return std::nullopt;
-  for (std::size_t b = 0; b < command.prefix_length; ++b)
-    command.prefix.set_bit(b, frame.bit(16 + b));
-  return command;
-}
-
-bool SelectCommand::matches(const TagId& id) const noexcept {
-  return id.common_prefix_length(prefix) >= prefix_length;
-}
-
 }  // namespace rfid::phy

@@ -1,13 +1,12 @@
 // Bit-level reader command codec.
 //
 // The protocols account reader overhead in bits (32-bit round init, 128-bit
-// circle command, ~52-bit Select); this module grounds those numbers in
-// concrete frame layouts in the spirit of C1G2 signalling, with opcodes and
-// CRC protection, and provides encode/decode round trips the tests verify.
+// circle command); this module grounds those numbers in concrete frame
+// layouts in the spirit of C1G2 signalling, with opcodes and CRC
+// protection, and provides encode/decode round trips the tests verify.
 // Layouts (MSB first):
 //   QueryRound  <opcode:4><h:5><seed:18><crc5:5>                =  32 bits
 //   CircleCmd   <opcode:4><f:30><F:30><seed:48><crc16:16>       = 128 bits
-//   Select      <opcode:4><prefix_len:7><crc5:5> + prefix bits  =  16+len
 //   QueryRep    <opcode:4>                                      =   4 bits
 // The seed fields carry truncated session seeds — tags only need them to
 // agree with the reader, not to be globally unique.
@@ -17,7 +16,6 @@
 #include <optional>
 
 #include "common/bitvec.hpp"
-#include "common/tag_id.hpp"
 
 namespace rfid::phy {
 
@@ -25,7 +23,6 @@ inline constexpr unsigned kOpcodeBits = 4;
 inline constexpr std::uint8_t kOpQueryRep = 0x0;
 inline constexpr std::uint8_t kOpQueryRound = 0x8;
 inline constexpr std::uint8_t kOpCircle = 0x9;
-inline constexpr std::uint8_t kOpSelect = 0xA;
 
 /// <h, r>: starts an HPP/TPP inventory round. Encodes to exactly 32 bits —
 /// the init overhead the paper's simulation setting assumes.
@@ -57,24 +54,6 @@ struct CircleCommand final {
   [[nodiscard]] BitVec encode() const;
   [[nodiscard]] static std::optional<CircleCommand> decode(
       const BitVec& frame);
-};
-
-/// Select: masks the tag subset sharing an ID prefix (Prefix-CPP). Frame
-/// length is 16 + prefix_length bits.
-struct SelectCommand final {
-  TagId prefix{};               ///< only the first prefix_length bits matter
-  std::size_t prefix_length = 0;  ///< 0..96 (7 bits on air)
-
-  [[nodiscard]] std::size_t bits() const noexcept {
-    return 16 + prefix_length;
-  }
-
-  [[nodiscard]] BitVec encode() const;
-  [[nodiscard]] static std::optional<SelectCommand> decode(
-      const BitVec& frame);
-
-  /// Tag-side predicate: does `id` match the broadcast mask?
-  [[nodiscard]] bool matches(const TagId& id) const noexcept;
 };
 
 }  // namespace rfid::phy

@@ -29,6 +29,8 @@ sim::RunResult Cpp::run(const tags::TagPopulation& population,
 sim::RunResult PrefixCpp::run(const tags::TagPopulation& population,
                               const sim::SessionConfig& config) const {
   RFID_EXPECTS(config_.prefix_bits <= kTagIdBits);
+  // A Select frame's header: <opcode:4><prefix_len:7><crc5:5>.
+  constexpr std::size_t kSelectHeaderBits = 16;
   sim::Session session(population, config);
   const std::size_t suffix_bits = kTagIdBits - config_.prefix_bits;
 
@@ -45,9 +47,9 @@ sim::RunResult PrefixCpp::run(const tags::TagPopulation& population,
     groups[masked_prefix(tag.id())].push_back(&tag);
 
   for (const auto& [prefix, members] : groups) {
-    // Select command: framing overhead plus the mask itself. Tags matching
-    // the mask stay active for the suffix polls; others ignore them.
-    session.air().broadcast_command_bits(config_.select_overhead_bits +
+    // Select command: its header plus the mask itself. Tags matching the
+    // mask stay active for the suffix polls; others ignore them.
+    session.air().broadcast_command_bits(kSelectHeaderBits +
                                          config_.prefix_bits);
     for (const tags::Tag* target : members) {
       const tags::Tag* responder = target;

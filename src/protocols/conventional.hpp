@@ -29,9 +29,6 @@ class PrefixCpp final : public PollingProtocol {
  public:
   struct Config final {
     std::size_t prefix_bits = 32;  ///< category-ID length to mask
-    /// Select frame framing cost beyond the mask itself (16-bit header of
-    /// phy::SelectCommand: opcode + length field + CRC-5).
-    std::size_t select_overhead_bits = 16;
   };
 
   PrefixCpp();

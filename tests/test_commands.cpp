@@ -81,50 +81,6 @@ TEST(CircleCommand, Crc16CatchesBitErrors) {
   }
 }
 
-TEST(SelectCommand, LengthIsSixteenPlusPrefix) {
-  SelectCommand command;
-  command.prefix_length = 32;
-  EXPECT_EQ(command.bits(), 48u);
-  EXPECT_EQ(command.encode().size(), 48u);
-}
-
-TEST(SelectCommand, RoundTripsWithPrefixPayload) {
-  Xoshiro256ss rng(3);
-  for (const std::size_t len : {0u, 1u, 7u, 32u, 48u, 96u}) {
-    SelectCommand command;
-    command.prefix_length = len;
-    for (auto& w : command.prefix.words) w = std::uint32_t(rng());
-    // Bits past the prefix length are ignored on air; zero them for
-    // comparison.
-    for (std::size_t b = len; b < kTagIdBits; ++b)
-      command.prefix.set_bit(b, false);
-    const auto decoded = SelectCommand::decode(command.encode());
-    ASSERT_TRUE(decoded.has_value()) << len;
-    EXPECT_EQ(decoded->prefix_length, len);
-    EXPECT_EQ(decoded->prefix, command.prefix);
-  }
-}
-
-TEST(SelectCommand, MatchesChecksPrefixOnly) {
-  SelectCommand command;
-  command.prefix = TagId::from_hex("deadbeef0000000000000000");
-  command.prefix_length = 32;
-  EXPECT_TRUE(command.matches(TagId::from_hex("deadbeef1234567890abcdef")));
-  EXPECT_FALSE(command.matches(TagId::from_hex("deadbef01234567890abcdef")));
-  command.prefix_length = 0;  // empty mask matches everything
-  EXPECT_TRUE(command.matches(TagId::from_hex("000000000000000000000001")));
-}
-
-TEST(SelectCommand, TruncatedFrameRejected) {
-  SelectCommand command;
-  command.prefix_length = 16;
-  BitVec frame = command.encode();
-  BitVec shorter;
-  for (std::size_t i = 0; i + 1 < frame.size(); ++i)
-    shorter.push_back(frame.bit(i));
-  EXPECT_FALSE(SelectCommand::decode(shorter).has_value());
-}
-
 TEST(Commands, RandomFramesRejectedByCrc) {
   // Fuzz: random 32- and 128-bit frames (even with a forced valid opcode)
   // decode only when their CRC happens to validate — which for CRC-5 over

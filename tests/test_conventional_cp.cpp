@@ -51,8 +51,7 @@ TEST(PrefixCpp, SuffixVectorOnClusteredIds) {
   const auto result = PrefixCpp().run(pop, sim::SessionConfig{});
   EXPECT_DOUBLE_EQ(result.avg_vector_bits(), 64.0);
   EXPECT_EQ(result.metrics.polls, 200u);
-  // Exactly one Select command: 16-bit frame header + mask bits
-  // (phy::SelectCommand layout).
+  // Exactly one Select command: 16-bit frame header + mask bits.
   EXPECT_EQ(result.metrics.command_bits, 16u + 32u);
 }
 

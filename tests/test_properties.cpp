@@ -174,20 +174,6 @@ TEST(Properties, TagIdHexFuzzRoundTrip) {
   }
 }
 
-TEST(Properties, CommonPrefixSymmetricAndConsistentWithXor) {
-  Xoshiro256ss rng(3);
-  for (int trial = 0; trial < 300; ++trial) {
-    TagId a, b;
-    for (auto& w : a.words) w = static_cast<std::uint32_t>(rng());
-    b = a;
-    const std::size_t flip = rng.below(kTagIdBits);
-    b.set_bit(flip, !b.bit(flip));
-    // Flipping bit `flip` bounds the common prefix at exactly flip.
-    EXPECT_EQ(a.common_prefix_length(b), flip);
-    EXPECT_EQ(b.common_prefix_length(a), flip);
-  }
-}
-
 TEST(Properties, EnvU64ParsesAndFallsBack) {
   EXPECT_EQ(env_u64("RFID_SURELY_UNSET_VARIABLE", 7), 7u);
   ::setenv("RFID_TEST_ENV_U64", "123", 1);

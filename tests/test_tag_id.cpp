@@ -63,23 +63,6 @@ TEST(TagId, XorSelfIsZero) {
   EXPECT_EQ((a ^ a), TagId{});
 }
 
-TEST(TagId, CommonPrefixLengthFullMatch) {
-  const TagId a = TagId::from_hex("abcdefabcdefabcdefabcdef");
-  EXPECT_EQ(a.common_prefix_length(a), kTagIdBits);
-}
-
-TEST(TagId, CommonPrefixLengthFirstBitDiffers) {
-  const TagId a = TagId::from_hex("800000000000000000000000");
-  const TagId b;
-  EXPECT_EQ(a.common_prefix_length(b), 0u);
-}
-
-TEST(TagId, CommonPrefixLengthMidWord) {
-  TagId a, b;
-  b.set_bit(40, true);  // differ exactly at bit 40
-  EXPECT_EQ(a.common_prefix_length(b), 40u);
-}
-
 TEST(TagId, OrderingIsLexicographicOnWords) {
   const TagId small = TagId::from_hex("000000000000000000000001");
   const TagId big = TagId::from_hex("000000010000000000000000");
