@@ -33,6 +33,7 @@ std::size_t frame_size(double factor, std::size_t n) {
 }  // namespace
 
 std::size_t TrustedReaderDetection::planned_frames() const {
+  constexpr std::size_t kMaxFrames = 256;  // hard cap; also bounds alpha -> 1
   // One frame exposes a lone missing tag iff no other expected tag shares
   // its slot: p1 ~= e^{-1/factor} for f = factor * n. Geometric repetition
   // reaches the target confidence after ln(1-alpha)/ln(1-p1) frames.
@@ -41,7 +42,7 @@ std::size_t TrustedReaderDetection::planned_frames() const {
   if (alpha <= 0.0) return 1;
   const double frames = std::ceil(std::log1p(-alpha) / std::log1p(-p1));
   return std::clamp<std::size_t>(static_cast<std::size_t>(frames), 1,
-                                 config_.max_frames);
+                                 kMaxFrames);
 }
 
 TrustedReaderDetection::Report TrustedReaderDetection::detect(

@@ -32,7 +32,6 @@ class TrustedReaderDetection final {
     double confidence = 0.99;          ///< target detection probability alpha
     double frame_factor = 1.0;         ///< f = factor * n
     std::size_t frame_command_bits = 32;
-    std::size_t max_frames = 256;      ///< hard cap (also covers alpha -> 1)
   };
 
   struct Report final {
@@ -46,7 +45,7 @@ class TrustedReaderDetection final {
 
   /// Number of frames needed for the configured confidence (Tan et al.'s
   /// geometric argument: one frame catches a lone missing tag in an
-  /// expected-singleton slot with probability ~e^{-1/factor}).
+  /// expected-singleton slot with probability ~e^{-1/factor}), at most 256.
   [[nodiscard]] std::size_t planned_frames() const;
 
   /// Runs detection. `config.present` in the session decides which expected

@@ -1,6 +1,8 @@
 #include "serve/telemetry_service.hpp"
 
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -20,13 +22,7 @@ std::string num(double value) {
 }  // namespace
 
 TelemetryService::TelemetryService(obs::StreamingAggregator& aggregator)
-    : TelemetryService(aggregator, Config{}) {}
-
-TelemetryService::TelemetryService(obs::StreamingAggregator& aggregator,
-                                   Config config)
-    : aggregator_(aggregator),
-      config_(config),
-      start_(std::chrono::steady_clock::now()) {}
+    : aggregator_(aggregator), start_(std::chrono::steady_clock::now()) {}
 
 void TelemetryService::install(HttpServer& server) {
   server.route("/", [](const HttpRequest&) {
@@ -99,7 +95,10 @@ HttpResponse TelemetryService::metrics_json() const {
 }
 
 void TelemetryService::events(StreamWriter& writer) const {
-  const auto subscription = aggregator_.subscribe(config_.sse_queue_capacity);
+  constexpr std::size_t kQueueCapacity = 64;     // items buffered per client
+  constexpr unsigned kWaitMs = 250;              // queue poll interval
+  constexpr unsigned kKeepaliveEveryWaits = 20;  // idle waits per keepalive
+  const auto subscription = aggregator_.subscribe(kQueueCapacity);
   std::uint64_t reported_drops = 0;
   unsigned idle_waits = 0;
 
@@ -110,10 +109,10 @@ void TelemetryService::events(StreamWriter& writer) const {
   }
 
   while (writer.alive()) {
-    auto item = subscription->wait(config_.sse_wait_ms);
+    auto item = subscription->wait(kWaitMs);
     if (!item.has_value()) {
       if (subscription->closed()) break;  // daemon shut the stream down
-      if (++idle_waits >= config_.keepalive_every_waits) {
+      if (++idle_waits >= kKeepaliveEveryWaits) {
         idle_waits = 0;
         if (!writer.write(": keepalive\n\n")) break;
       }

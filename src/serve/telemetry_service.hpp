@@ -19,8 +19,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstddef>
-#include <cstdint>
 
 #include "obs/stream.hpp"
 #include "serve/http.hpp"
@@ -29,20 +27,11 @@ namespace rfid::serve {
 
 class TelemetryService final {
  public:
-  struct Config final {
-    std::size_t sse_queue_capacity = 64;  ///< items buffered per client
-    unsigned sse_wait_ms = 250;           ///< queue poll interval
-    unsigned keepalive_every_waits = 20;  ///< idle waits per ": keepalive"
-  };
-
   explicit TelemetryService(obs::StreamingAggregator& aggregator);
-  TelemetryService(obs::StreamingAggregator& aggregator, Config config);
 
   /// Registers /, /healthz, /metrics.json, and /events on `server`.
   /// Call before server.start().
   void install(HttpServer& server);
-
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
   HttpResponse healthz() const;
@@ -50,7 +39,6 @@ class TelemetryService final {
   void events(StreamWriter& writer) const;
 
   obs::StreamingAggregator& aggregator_;
-  Config config_;
   std::chrono::steady_clock::time_point start_;
 };
 
