@@ -51,21 +51,6 @@ int usage(const char* argv0) {
   return EXIT_FAILURE;
 }
 
-/// Strict non-negative decimal (digits, at most one dot).
-std::optional<double> parse_fraction_arg(std::string_view text) {
-  if (text.empty() || text == ".") return std::nullopt;
-  bool dot = false;
-  for (const char c : text) {
-    if (c == '.') {
-      if (dot) return std::nullopt;
-      dot = true;
-    } else if (c < '0' || c > '9') {
-      return std::nullopt;
-    }
-  }
-  return std::stod(std::string(text));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {

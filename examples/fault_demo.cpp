@@ -27,10 +27,12 @@
 //   ./build/examples/fault_demo --ber 0.01 --segment-bits 32 --seed 7
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/table.hpp"
 #include "core/deployment.hpp"
 #include "obs/phase_timer.hpp"
@@ -53,19 +55,26 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--ber") {
-      ber = std::strtod(value(), nullptr);
-      if (ber < 0.0 || ber > 1.0) {
-        std::cerr << "--ber must be in [0, 1]\n";
+      const auto parsed = parse_fraction_arg(value());
+      if (!parsed || *parsed > 1.0) {
+        std::cerr << "--ber must be a decimal in [0, 1]\n";
         return EXIT_FAILURE;
       }
+      ber = *parsed;
     } else if (arg == "--segment-bits") {
-      segment_bits = std::strtoull(value(), nullptr, 10);
-      if (segment_bits == 0) {
-        std::cerr << "--segment-bits must be positive\n";
+      const auto parsed = parse_size_arg(value());
+      if (!parsed || *parsed > std::numeric_limits<unsigned>::max()) {
+        std::cerr << "--segment-bits must be a positive 32-bit integer\n";
         return EXIT_FAILURE;
       }
+      segment_bits = *parsed;
     } else if (arg == "--seed") {
-      seed = std::strtoull(value(), nullptr, 10);
+      const auto parsed = parse_u64(value());
+      if (!parsed) {
+        std::cerr << "--seed must be a base-10 unsigned integer\n";
+        return EXIT_FAILURE;
+      }
+      seed = *parsed;
     } else {
       std::cerr << "usage: " << argv[0]
                 << " [--ber X] [--segment-bits N] [--seed S]\n";

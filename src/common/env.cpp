@@ -1,7 +1,9 @@
 #include "common/env.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <limits>
+#include <system_error>
 
 namespace rfid {
 
@@ -32,6 +34,25 @@ std::optional<std::size_t> parse_size_arg(std::string_view text,
   if (*parsed == 0 && !allow_zero) return std::nullopt;
   if (*parsed > std::numeric_limits<std::size_t>::max()) return std::nullopt;
   return static_cast<std::size_t>(*parsed);
+}
+
+std::optional<double> parse_fraction_arg(std::string_view text) noexcept {
+  bool dot = false;
+  for (const char c : text) {
+    if (c == '.' && !dot) {
+      dot = true;
+    } else if (c < '0' || c > '9') {
+      return std::nullopt;  // sign, exponent, space, garbage or a 2nd '.'
+    }
+  }
+  // from_chars rejects "" and "." itself, and reports overflow and
+  // underflow to zero as out of range.
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), end, value, std::chars_format::fixed);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace rfid

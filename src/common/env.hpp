@@ -3,9 +3,10 @@
 //
 // Benches honour RFID_RUNS (Monte-Carlo repetitions) and RFID_MAX_N
 // (largest population) so CI machines can trade fidelity for speed without
-// editing code. parse_u64/parse_size_arg give the examples one strict
-// argv-number parser instead of per-binary strtoull calls that silently
-// accepted "10x", overflow, or a degenerate n = 0.
+// editing code. parse_u64/parse_size_arg/parse_fraction_arg give the
+// examples and tools one strict argv-number parser each instead of
+// per-binary strtoull/strtod calls that silently accepted "10x", "abc",
+// overflow, or a degenerate n = 0.
 #pragma once
 
 #include <cstdint>
@@ -33,5 +34,14 @@ namespace rfid {
 /// callers print their own usage message.
 [[nodiscard]] std::optional<std::size_t> parse_size_arg(
     std::string_view text, bool allow_zero = false) noexcept;
+
+/// Strictly parses a non-negative decimal: digits with at most one '.' and
+/// at least one digit, no sign, exponent or whitespace (parse_size_arg's
+/// policy, extended to rate and fraction flags). Also rejects a value that
+/// std::from_chars reports as out of range, such as a 400-digit integer
+/// part or a fraction that underflows to zero. Callers check their own
+/// bounds.
+[[nodiscard]] std::optional<double> parse_fraction_arg(
+    std::string_view text) noexcept;
 
 }  // namespace rfid

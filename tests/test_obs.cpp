@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/env.hpp"
 #include "core/polling.hpp"
@@ -506,6 +507,25 @@ TEST(ParseArgs, ParseSizeArgRejectsZeroByDefault) {
   EXPECT_EQ(parse_size_arg("0", /*allow_zero=*/true), 0u);
   EXPECT_FALSE(parse_size_arg("10 "));
   EXPECT_FALSE(parse_size_arg("ten"));
+}
+
+TEST(ParseArgs, ParseFractionArgAcceptsOnlyPlainDecimals) {
+  EXPECT_EQ(parse_fraction_arg("0"), 0.0);
+  EXPECT_EQ(parse_fraction_arg("0.002"), 0.002);
+  EXPECT_EQ(parse_fraction_arg("5."), 5.0);
+  EXPECT_EQ(parse_fraction_arg(".5"), 0.5);
+  EXPECT_FALSE(parse_fraction_arg(""));
+  EXPECT_FALSE(parse_fraction_arg("."));
+  EXPECT_FALSE(parse_fraction_arg("1e-3"));  // no scientific notation
+  EXPECT_FALSE(parse_fraction_arg("0.5x"));  // trailing garbage
+  EXPECT_FALSE(parse_fraction_arg("-0.5"));  // sign
+  EXPECT_FALSE(parse_fraction_arg("0.1.2"));
+  // Out of range is a rejection, not an exception: a 400-digit integer
+  // part overflows, and a 400-digit fraction of 10^-400 underflows to zero.
+  EXPECT_FALSE(parse_fraction_arg(std::string(400, '9')));
+  EXPECT_FALSE(parse_fraction_arg("0." + std::string(399, '0') + "1"));
+  // A long fraction that stays in range parses.
+  EXPECT_EQ(parse_fraction_arg("0.5" + std::string(399, '0')), 0.5);
 }
 
 }  // namespace

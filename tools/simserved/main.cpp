@@ -109,22 +109,6 @@ int usage(const char* argv0) {
   return EXIT_FAILURE;
 }
 
-/// Strict non-negative decimal: digits with at most one '.', no signs or
-/// exponents (parse_size_arg's policy, extended to the float flags).
-std::optional<double> parse_fraction_arg(std::string_view text) {
-  if (text.empty() || text == ".") return std::nullopt;
-  bool dot = false;
-  for (const char c : text) {
-    if (c == '.') {
-      if (dot) return std::nullopt;
-      dot = true;
-    } else if (c < '0' || c > '9') {
-      return std::nullopt;
-    }
-  }
-  return std::stod(std::string(text));
-}
-
 std::uint64_t wall_unix_ms() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
