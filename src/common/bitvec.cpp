@@ -78,14 +78,4 @@ std::string BitVec::to_string() const {
   return out;
 }
 
-std::vector<std::uint64_t> BitVec::to_words_view() const {
-  std::vector<std::uint64_t> words = words_;
-  // Mask tail garbage beyond size_ so equality is well-defined.
-  const std::size_t tail = size_ % 64;
-  if (!words.empty() && tail != 0)
-    words.back() &= ~0ULL << (64 - tail);
-  words.resize((size_ + 63) / 64);
-  return words;
-}
-
 }  // namespace rfid

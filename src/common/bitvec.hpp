@@ -50,14 +50,14 @@ class BitVec final {
   /// '0'/'1' rendering, MSB first.
   [[nodiscard]] std::string to_string() const;
 
+  /// Compares in place: every mutator keeps `words_` at exactly the words
+  /// size() needs and every bit past size() at zero, so equal strings hold
+  /// equal words however they were built.
   friend bool operator==(const BitVec& a, const BitVec& b) noexcept {
-    if (a.size_ != b.size_) return false;
-    return a.to_words_view() == b.to_words_view();
+    return a.size_ == b.size_ && a.words_ == b.words_;
   }
 
  private:
-  [[nodiscard]] std::vector<std::uint64_t> to_words_view() const;
-
   std::vector<std::uint64_t> words_;
   std::size_t size_ = 0;
 };

@@ -1,7 +1,11 @@
 // Unit tests for the bit-level containers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/bitvec.hpp"
+#include "common/rng.hpp"
 
 namespace rfid {
 namespace {
@@ -85,6 +89,37 @@ TEST(BitVec, EqualityDifferentContent) {
   EXPECT_FALSE(BitVec("101") == BitVec("100"));
   EXPECT_FALSE(BitVec("101") == BitVec("1010"));
   EXPECT_TRUE(BitVec("101") == BitVec("101"));
+}
+
+TEST(BitVec, EqualityHoldsHoweverTheStringWasBuilt) {
+  Xoshiro256ss rng(11);
+  for (const std::size_t len : {1u, 63u, 64u, 65u, 128u, 130u}) {
+    std::string bits;
+    for (std::size_t i = 0; i < len; ++i)
+      bits.push_back(rng.bernoulli(0.5) ? '1' : '0');
+    const BitVec from_string(bits);
+    BitVec pushed;
+    for (const char c : bits) pushed.push_back(c == '1');
+    BitVec chunked;  // append_bits in chunks of 1..64 bits
+    for (std::size_t pos = 0; pos < len;) {
+      const auto width = static_cast<unsigned>(
+          std::min<std::size_t>(1 + rng.below(64), len - pos));
+      chunked.append_bits(from_string.read_bits(pos, width), width);
+      pos += width;
+    }
+    BitVec concatenated(bits.substr(0, len / 3));
+    concatenated.append(BitVec(bits.substr(len / 3)));
+    BitVec refilled(std::string(200, '1'));  // ones in every word it held
+    refilled.clear();
+    for (const char c : bits) refilled.push_back(c == '1');
+    for (const BitVec* built : {&pushed, &chunked, &concatenated, &refilled})
+      EXPECT_TRUE(*built == from_string) << len;
+
+    std::string last_flipped = bits;
+    last_flipped.back() = bits.back() == '1' ? '0' : '1';
+    EXPECT_FALSE(BitVec(last_flipped) == from_string) << len;
+    EXPECT_FALSE(from_string == BitVec(last_flipped)) << len;
+  }
 }
 
 TEST(BitReader, SequentialReads) {
