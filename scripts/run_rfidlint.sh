@@ -3,8 +3,9 @@
 # RNG purity, phase accounting, determinism) over the repo's src/ tree plus
 # tools/simserved, then self-checks every analyzer against its fixtures so a
 # linter that silently stopped matching (rule regression, tokenizer bug)
-# cannot pass CI by finding nothing. Wired into the `rfidlint` CI job; run
-# standalone as
+# cannot pass CI by finding nothing. Last, it checks that every src/ file is
+# reached by some program (scripts/check_src_reachability.py, python3).
+# Wired into the `rfidlint` CI job; run standalone as
 #
 #   scripts/run_rfidlint.sh [BIN_DIR]
 #
@@ -83,5 +84,27 @@ if "$rfidlint" --root "$tree" --layers "$fixture_dir/layer_bad.spec" \
   status=1
 fi
 
+# 4. No src/ file without a program: quoted includes followed from every
+# .cpp under tools/, bench/ and examples/ (a reached src/ header brings its
+# own .cpp) must reach every src/ .cpp and .hpp. Tests do not count. The
+# walk sees files, not functions. Its liveness fixture,
+# scripts/fixtures/reach_tree, has a header and .cpp that only a test
+# includes: exactly those two must be listed.
+reach="$repo_root/scripts/check_src_reachability.py"
+if ! python3 "$reach" "$repo_root"; then
+  echo "run_rfidlint: no program under tools/, bench/ or examples/" \
+    "reaches the src/ files above" >&2
+  status=1
+fi
+reach_tree="$repo_root/scripts/fixtures/reach_tree"
+expected="$(printf '%s\n' src/lib/orphan.cpp src/lib/orphan.hpp)"
+if listed="$(python3 "$reach" "$reach_tree")" ||
+    [ "$listed" != "$expected" ]; then
+  echo "run_rfidlint: self-check failed — reach_tree should list exactly" \
+    "src/lib/orphan.cpp and src/lib/orphan.hpp, got: ${listed:-nothing}" >&2
+  status=1
+fi
+
 [ "$status" -eq 0 ] || exit "$status"
-echo "run_rfidlint: OK (repo clean, all violation fixtures still trip)"
+echo "run_rfidlint: OK (repo clean, all violation fixtures still trip," \
+  "every src/ file reached by a program)"
