@@ -17,21 +17,43 @@ TEST(C1G2Timing, DefaultsMatchPaperSettings) {
   EXPECT_EQ(t.query_rep_bits, 4u);
 }
 
-TEST(C1G2Timing, BitTimesFollowFromLinkSettings) {
-  const C1G2Timing t;
-  // Reader -> tag is PIE: a data-0 lasts one Tari, a data-1 two. At Tari
-  // 25 us a balanced bit mix averages 37.5 us/bit, 26.7 kbps; the paper
-  // quotes the reciprocal of that rounded rate, 37.45 us.
-  constexpr double kTariUs = 25.0;
-  const double pie_us_per_bit = (kTariUs + 2.0 * kTariUs) / 2.0;
-  EXPECT_DOUBLE_EQ(pie_us_per_bit, 37.5);
-  EXPECT_NEAR(1000.0 / pie_us_per_bit, 26.7, 0.05);
-  EXPECT_NEAR(t.reader_us_per_bit, pie_us_per_bit, 0.1);
-  EXPECT_NEAR(1000.0 / t.reader_us_per_bit, 26.7, 0.01);
-  // Tag -> reader is FM0: one bit per backscatter-link-frequency cycle, so
-  // BLF 40 kHz gives 25 us/bit, 40 kbps.
-  constexpr double kBlfKhz = 40.0;
-  EXPECT_DOUBLE_EQ(t.tag_us_per_bit, 1000.0 / kBlfKhz);
+// Reader -> tag is PIE: a data-0 lasts one Tari, a data-1 `data1_taris`
+// Taris, so a balanced bit mix averages their mean.
+double pie_avg_us_per_bit(double tari_us, double data1_taris = 2.0) {
+  return tari_us * (1.0 + data1_taris) / 2.0;
+}
+
+// Tag -> reader is FM0: one bit per backscatter-link-frequency cycle.
+double fm0_us_per_bit(double blf_khz) { return 1000.0 / blf_khz; }
+
+TEST(LinkRates, PaperForwardRateFromPie) {
+  // Tari 25 us with 2-Tari data-1: 37.5 us/bit ~ 26.7 kbps, the paper's
+  // reader rate (it quotes the reciprocal rounded to 37.45).
+  EXPECT_DOUBLE_EQ(pie_avg_us_per_bit(25.0), 37.5);
+  EXPECT_NEAR(1000.0 / pie_avg_us_per_bit(25.0), 26.7, 0.1);
+  // Fastest standard setting: Tari 6.25 us, 1.5-Tari data-1 -> 128 kbps.
+  EXPECT_NEAR(1000.0 / pie_avg_us_per_bit(6.25, 1.5), 128.0, 0.5);
+}
+
+TEST(LinkRates, PaperReturnRateFromFm0) {
+  // BLF 40 kHz FM0: 25 us/bit = 40 kbps, the paper's tag rate. FM0 spans
+  // 40..640 kbps across the standard's BLF range.
+  EXPECT_DOUBLE_EQ(fm0_us_per_bit(40.0), 25.0);
+  EXPECT_DOUBLE_EQ(fm0_us_per_bit(640.0), 1.5625);
+}
+
+TEST(LinkRates, LinkTimingRecoversPaperSetting) {
+  // The paper's defaults are the rates of Tari 25 us PIE and BLF 40 kHz FM0.
+  const C1G2Timing paper;
+  EXPECT_NEAR(paper.reader_us_per_bit, pie_avg_us_per_bit(25.0), 0.1);
+  EXPECT_NEAR(1000.0 / paper.reader_us_per_bit, 26.7, 0.01);
+  EXPECT_DOUBLE_EQ(paper.tag_us_per_bit, fm0_us_per_bit(40.0));
+  // A model built from the link settings yields the paper's per-poll cost
+  // within rounding.
+  C1G2Timing derived;
+  derived.reader_us_per_bit = pie_avg_us_per_bit(25.0);
+  derived.tag_us_per_bit = fm0_us_per_bit(40.0);
+  EXPECT_NEAR(derived.poll_us(3, 1), paper.poll_us(3, 1), 1.0);
 }
 
 TEST(C1G2Timing, PollFormulaMatchesPaper) {
